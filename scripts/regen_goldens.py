@@ -6,13 +6,15 @@ review the diff before committing.
 """
 
 import pathlib
+import subprocess
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from implattice.cli import main
 
-GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "tests" / "goldens"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "tests" / "goldens"
 
 
 def regen():
@@ -23,6 +25,15 @@ def regen():
     )
     if code != 0:
         raise SystemExit(f"verify suite failed (exit {code}); golden not trusted")
+    print(f"wrote {target} ({target.stat().st_size} bytes)")
+
+    target = GOLDENS / "erratum_report_n10.txt"
+    report = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "erratum_report.py"), "10"],
+        capture_output=True,
+        check=True,
+    )
+    target.write_bytes(report.stdout)
     print(f"wrote {target} ({target.stat().st_size} bytes)")
 
 

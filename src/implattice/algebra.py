@@ -47,6 +47,22 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def remap(mask: int, images: Sequence[int] | Mapping[int, int]) -> int:
+    """Relabel a mask bit by bit: the union of ``images[i]`` over set bits i."""
+    out = 0
+    for i in _bits(mask):
+        out |= images[i]
+    return out
+
+
 @dataclass(frozen=True)
 class Element:
     """An element of ``B_n``: a set of atom indices stored as a bitmask."""
@@ -79,7 +95,7 @@ class Element:
 
     @property
     def atoms(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
+        return tuple(_bits(self.mask))
 
     @property
     def rank(self) -> int:
@@ -346,19 +362,11 @@ def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
     """Relabel atoms by a permutation sigma (an automorphism of ``B_n``)."""
     if sorted(sigma) != list(range(A.n)):
         raise ValueError(f"not a permutation of range({A.n}): {sigma!r}")
-
-    def remap(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << sigma[low.bit_length() - 1]
-            mask ^= low
-        return out
-
+    images = [1 << s for s in sigma]
     return ImpLattice(
         A.n,
-        Element(A.n, remap(A.base.mask)),
-        tuple(Element(A.n, remap(b.mask)) for b in A.blocks),
+        Element(A.n, remap(A.base.mask, images)),
+        tuple(Element(A.n, remap(b.mask, images)) for b in A.blocks),
     )
 
 
@@ -379,17 +387,15 @@ def lattice_to_dict(A: ImpLattice) -> dict:
 def lattice_from_dict(d: Mapping) -> ImpLattice:
     try:
         n = d["n"]
-        base = d["base"]
-        blocks = d["blocks"]
+        if not isinstance(n, int):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        return ImpLattice(
+            n,
+            Element.from_atoms(n, d["base"]),
+            tuple(Element.from_atoms(n, blk) for blk in d["blocks"]),
+        )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"lattice object needs n/base/blocks: {d!r}") from exc
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    return ImpLattice(
-        n,
-        Element.from_atoms(n, base),
-        tuple(Element.from_atoms(n, blk) for blk in blocks),
-    )
+        raise ValueError(f"lattice object needs n/base/blocks with integer atoms: {d!r}") from exc
 
 
 def lattice_to_json(A: ImpLattice) -> str:

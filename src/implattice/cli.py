@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     ImpLattice,
@@ -36,38 +35,25 @@ from .formulas import (
     mobius_product_formula,
 )
 from .poset import (
+    IntervalPoset,
     NotComparableError,
     interval,
     interval_to_dict,
     interval_to_dot,
-    mobius_between,
+    mobius_oracle,
 )
 from .verify import SUITES, run_suite, summarize
 
 POSET_CAP = 8
 TABLE_CAP = 100
-# the p-table composition column enumerates C(n-1, k-1) compositions, so it
-# is emitted only up to this bound
+# the p-table prints its composition column only up to this n; the bound fixes
+# the table's output, not a cost, since the sum is a cheap recurrence
 COMPOSITION_TABLE_CAP = 16
 ORACLE_TABLE_CAP = 5
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int | None = None
-    n_max: int | None = None
-    k: int | None = None
-    lower: ImpLattice | None = None
-    upper: ImpLattice | None = None
-    suite: str = "all"
-    fmt: str = "text"
-    out: str | None = None
-    override_cap: bool = False
 
 
 def _cap_check(value: int, cap: int, what: str, override: bool) -> None:
@@ -86,22 +72,26 @@ def _parse_lattice(text: str, what: str) -> ImpLattice:
         raise UsageError(f"cannot parse {what}: {exc}") from exc
 
 
-def _resolve_pair(cfg: RunConfig) -> tuple[ImpLattice, ImpLattice]:
-    """Fill in the [lower, upper] pair: --upper defaults to the full algebra,
-    and a bare --n means the extreme interval [{1}, B_n]."""
-    lower, upper = cfg.lower, cfg.upper
-    if lower is None and upper is None:
-        if cfg.n is None:
-            raise UsageError("need --lower/--upper or --n")
-        lower, upper = top_only(cfg.n), full_algebra(cfg.n)
-    elif lower is None:
-        lower = top_only(upper.n)
-    elif upper is None:
-        upper = full_algebra(lower.n)
-    if lower.n != upper.n:
+def _resolve_interval(args: argparse.Namespace) -> IntervalPoset:
+    """The interval [lower, upper] of mobius/export: --upper defaults to the
+    full algebra, and a bare --n means the extreme interval [{1}, B_n]."""
+    lower = _parse_lattice(args.lower, "--lower") if args.lower else None
+    upper = _parse_lattice(args.upper, "--upper") if args.upper else None
+    given = [A.n for A in (lower, upper) if A is not None]
+    if not given and args.n is None:
+        raise UsageError("need --lower/--upper or --n")
+    if len(set(given)) > 1:
         raise UsageError(f"lower has n={lower.n} but upper has n={upper.n}")
-    _cap_check(lower.n, POSET_CAP, "interval context n", cfg.override_cap)
-    return lower, upper
+    n = given[0] if given else args.n
+    # checked before a default endpoint is built, which a negative n would crash
+    _cap_check(n, POSET_CAP, "interval context n", args.override_cap)
+    try:
+        return interval(
+            top_only(n) if lower is None else lower,
+            full_algebra(n) if upper is None else upper,
+        )
+    except NotComparableError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -112,17 +102,17 @@ def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def cmd_enumerate(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.n is None:
+def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
+    if args.n is None:
         raise UsageError("enumerate needs --n")
-    _cap_check(cfg.n, POSET_CAP, "n", cfg.override_cap)
-    lattices = enumerate_all(cfg.n)
-    expected = bell(cfg.n + 1)
+    _cap_check(args.n, POSET_CAP, "n", args.override_cap)
+    lattices = enumerate_all(args.n)
+    expected = bell(args.n + 1)
     ok = len(lattices) == expected
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "enumerate",
-            "n": cfg.n,
+            "n": args.n,
             "count": len(lattices),
             "bell": expected,
             "match": ok,
@@ -136,18 +126,16 @@ def cmd_enumerate(cfg: RunConfig) -> tuple[str, int]:
     return text, 0 if ok else 1
 
 
-def cmd_mobius(cfg: RunConfig) -> tuple[str, int]:
-    lower, upper = _resolve_pair(cfg)
-    try:
-        oracle = mobius_between(lower, upper)
-    except NotComparableError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_mobius(args: argparse.Namespace) -> tuple[str, int]:
+    poset = _resolve_interval(args)
+    lower, upper = poset.lower, poset.upper
+    oracle = mobius_oracle(poset).mu_top
     closed_form = None
     agree = None
     if upper == full_algebra(upper.n):
         closed_form = mobius_product_formula(lower)
         agree = closed_form == oracle
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "mobius",
             "n": lower.n,
@@ -167,17 +155,17 @@ def cmd_mobius(cfg: RunConfig) -> tuple[str, int]:
     return text, 1 if agree is False else 0
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.n_max is None:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
+    if args.n_max is None:
         raise UsageError("verify needs --n-max")
-    _cap_check(cfg.n_max, POSET_CAP, "n-max", cfg.override_cap)
-    verdicts = run_suite(cfg.suite, cfg.n_max)
+    _cap_check(args.n_max, POSET_CAP, "n-max", args.override_cap)
+    verdicts = run_suite(args.suite, args.n_max)
     summary = summarize(verdicts)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "verify",
-            "suite": cfg.suite,
-            "n_max": cfg.n_max,
+            "suite": args.suite,
+            "n_max": args.n_max,
             "verdicts": [verdict_to_dict(v) for v in verdicts],
             "summary": summary,
         }
@@ -197,13 +185,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[str, int]:
     return text, 0 if summary["failed"] == 0 else 1
 
 
-def cmd_identity(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.n_max is None:
+def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
+    if args.n_max is None:
         raise UsageError("identity needs --n-max")
-    _cap_check(cfg.n_max, TABLE_CAP, "n-max", cfg.override_cap)
+    _cap_check(args.n_max, TABLE_CAP, "n-max", args.override_cap)
     rows = []
     all_ok = True
-    for n in range(1, cfg.n_max + 1):
+    for n in range(1, args.n_max + 1):
         closed = mu_top_closed_form(n)
         corrected = chain_sum_corrected(n)
         printed = chain_sum_printed(n)
@@ -222,8 +210,8 @@ def cmd_identity(cfg: RunConfig) -> tuple[str, int]:
                 "printed_ok": printed_ok,
             }
         )
-    if cfg.fmt == "json":
-        doc = {"command": "identity", "n_max": cfg.n_max, "rows": rows, "all_ok": all_ok}
+    if args.fmt == "json":
+        doc = {"command": "identity", "n_max": args.n_max, "rows": rows, "all_ok": all_ok}
         text = json.dumps(doc, indent=2)
     else:
         header = ["n", "closed_form", "corrected", "printed", "printed_expected", "ok"]
@@ -242,24 +230,24 @@ def cmd_identity(cfg: RunConfig) -> tuple[str, int]:
     return text, 0 if all_ok else 1
 
 
-def cmd_table(cfg: RunConfig) -> tuple[str, int]:
-    if (cfg.n is None) == (cfg.n_max is None):
+def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
+    if (args.n is None) == (args.n_max is None):
         raise UsageError("table needs exactly one of --n or --n-max")
-    if cfg.n is not None:
-        _cap_check(cfg.n, TABLE_CAP, "n", cfg.override_cap)
-        ns = [cfg.n]
+    if args.n is not None:
+        _cap_check(args.n, TABLE_CAP, "n", args.override_cap)
+        ns = [args.n]
     else:
-        _cap_check(cfg.n_max, TABLE_CAP, "n-max", cfg.override_cap)
-        ns = list(range(1, cfg.n_max + 1))
-    if cfg.k is not None:
-        if cfg.k < 1:
-            raise UsageError(f"k must be >= 1, got {cfg.k}")
-        if cfg.n is not None and cfg.k > cfg.n:
-            raise UsageError(f"need 1 <= k <= n, got k={cfg.k}, n={cfg.n}")
+        _cap_check(args.n_max, TABLE_CAP, "n-max", args.override_cap)
+        ns = list(range(1, args.n_max + 1))
+    if args.k is not None:
+        if args.k < 1:
+            raise UsageError(f"k must be >= 1, got {args.k}")
+        if args.n is not None and args.k > args.n:
+            raise UsageError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
     rows = []
     all_ok = True
     for n in ns:
-        ks = [cfg.k] if cfg.k is not None else list(range(1, n + 1))
+        ks = [args.k] if args.k is not None else list(range(1, n + 1))
         for k in ks:
             if k > n:
                 continue  # an n-max sweep has no (k, n) row until n reaches k
@@ -283,7 +271,7 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
                     "match": ok,
                 }
             )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {"command": "table", "rows": rows, "all_ok": all_ok}
         text = json.dumps(doc, indent=2)
     else:
@@ -303,13 +291,9 @@ def cmd_table(cfg: RunConfig) -> tuple[str, int]:
     return text, 0 if all_ok else 1
 
 
-def cmd_export(cfg: RunConfig) -> tuple[str, int]:
-    lower, upper = _resolve_pair(cfg)
-    try:
-        poset = interval(lower, upper)
-    except NotComparableError as exc:
-        raise UsageError(str(exc)) from exc
-    if cfg.fmt == "dot":
+def cmd_export(args: argparse.Namespace) -> tuple[str, int]:
+    poset = _resolve_interval(args)
+    if args.fmt == "dot":
         text = interval_to_dot(poset)
     else:
         text = json.dumps(interval_to_dict(poset), indent=2)
@@ -379,36 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    lower = _parse_lattice(args.lower, "--lower") if getattr(args, "lower", None) else None
-    upper = _parse_lattice(args.upper, "--upper") if getattr(args, "upper", None) else None
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        n_max=getattr(args, "n_max", None),
-        k=getattr(args, "k", None),
-        lower=lower,
-        upper=upper,
-        suite=getattr(args, "suite", "all"),
-        fmt=args.fmt,
-        out=args.out,
-        override_cap=args.override_cap,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        text, code = _COMMANDS[cfg.command](cfg)
+        text, code = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

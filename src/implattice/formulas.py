@@ -12,9 +12,10 @@ produces.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable
 
 from .algebra import Element, ImpLattice, Verdict, full_algebra, make_verdict
 from .algebra import _set_partitions
@@ -29,6 +30,24 @@ def factorial(m: int) -> int:
     return math.factorial(m)
 
 
+_TABLE_LOCK = threading.Lock()
+
+
+def _table_row(rows: list[list[int]], n: int, next_row: Callable[[list], list[int]]) -> list[int]:
+    """Row n of a table cached in ``rows``.  Rows are appended complete and
+    under the lock, so concurrent callers never see or build a partial row."""
+    if n >= len(rows):
+        with _TABLE_LOCK:
+            while len(rows) <= n:
+                rows.append(next_row(rows))
+    return rows[n]
+
+
+def _next_stirling_row(rows: list[list[int]]) -> list[int]:
+    prev = rows[-1] + [0]
+    return [0] + [j * prev[j] + prev[j - 1] for j in range(1, len(prev))]
+
+
 _STIRLING_ROWS: list[list[int]] = [[1]]
 
 
@@ -41,14 +60,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"stirling2 needs n, k >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    while len(_STIRLING_ROWS) <= n:
-        prev = _STIRLING_ROWS[-1]
-        m = len(_STIRLING_ROWS)
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = j * (prev[j] if j < m else 0) + prev[j - 1]
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[n][k]
+    return _table_row(_STIRLING_ROWS, n, _next_stirling_row)[k]
 
 
 def bell(n: int) -> int:
@@ -65,6 +77,13 @@ def partition_mobius(block_sizes: list[int]) -> int:
     return value
 
 
+def _product_formula(A: ImpLattice, sign_exponent: int) -> int:
+    value = (-1) ** sign_exponent * factorial(A.base.rank)
+    for b in A.blocks:
+        value *= factorial(b.rank - 1)
+    return value
+
+
 def mobius_product_formula(A: ImpLattice) -> int:
     """Closed form for mu(A, B): (-1)^(n-w) * |a|! * prod (|block|-1)!.
 
@@ -72,19 +91,13 @@ def mobius_product_formula(A: ImpLattice) -> int:
     circulates but is wrong whenever |a| is odd (see
     :func:`mobius_product_formula_printed`).
     """
-    value = (-1) ** (A.n - A.w) * factorial(A.base.rank)
-    for b in A.blocks:
-        value *= factorial(b.rank - 1)
-    return value
+    return _product_formula(A, A.n - A.w)
 
 
 def mobius_product_formula_printed(A: ImpLattice) -> int:
     """The as-printed variant with sign exponent |a| + w(A) - n; kept so the
     erratum suite can pin the discrepancy (off by (-1)^|a|)."""
-    value = (-1) ** (A.base.rank + A.w - A.n) * factorial(A.base.rank)
-    for b in A.blocks:
-        value *= factorial(b.rank - 1)
-    return value
+    return _product_formula(A, A.base.rank + A.w - A.n)
 
 
 @dataclass(frozen=True)
@@ -194,13 +207,31 @@ def mu_rank_sum_chain(k: int, n: int) -> ChainSumReport:
     return ChainSumReport("rank_chain", n, k, _rank_chain_value(k, n), count)
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+def _next_composition_row(rows: list[list[int]]) -> list[int]:
+    # G[t][j] = t! * sum over compositions of t into j parts of 1/prod(parts);
+    # splitting off the last part p gives
+    # G[t][j] = sum_p C(t, p) * (p-1)! * G[t-p][j-1], all in integers
+    t = len(rows)
+    row = [1 if t == 0 else 0] + [0] * t
+    for p in range(1, t + 1):
+        weight = math.comb(t, p) * factorial(p - 1)
+        for j, rest in enumerate(rows[t - p], start=1):
+            row[j] += weight * rest
+    return row
+
+
+_COMPOSITION_ROWS: list[list[int]] = [[1]]
+
+
+def _composition_sum(k: int, n: int, divisor: int) -> int:
+    _check_rank_domain(k, n)
+    value = (-1) ** (n - k) * _table_row(_COMPOSITION_ROWS, n, _next_composition_row)[k]
+    quotient, remainder = divmod(value, divisor)
+    if remainder:
+        raise NonIntegerResultError(
+            f"composition sum for (k={k}, n={n}) is {Fraction(value, divisor)}"
+        )
+    return quotient
 
 
 def mu_rank_sum_composition(k: int, n: int) -> int:
@@ -210,35 +241,16 @@ def mu_rank_sum_composition(k: int, n: int) -> int:
 
     The 1/k! normalization is the correction: without it the ordered sum
     overcounts set partitions with repeated block sizes (see
-    :func:`mu_rank_sum_composition_printed`).
+    :func:`mu_rank_sum_composition_printed`).  The sum is evaluated exactly
+    by an integer recurrence over the last part, not term by term.
     """
-    _check_rank_domain(k, n)
-    total = Fraction(0)
-    for parts in _compositions(n, k):
-        denom = 1
-        for p in parts:
-            denom *= p
-        total += Fraction(1, denom)
-    value = (-1) ** (n - k) * Fraction(factorial(n), factorial(k)) * total
-    if value.denominator != 1:
-        raise NonIntegerResultError(f"composition sum for (k={k}, n={n}) is {value}")
-    return int(value)
+    return _composition_sum(k, n, factorial(k))
 
 
 def mu_rank_sum_composition_printed(k: int, n: int) -> int:
     """The as-printed composition form without the 1/k! factor; differs from
     the oracle by k! for every k >= 2 and is pinned by the erratum suite."""
-    _check_rank_domain(k, n)
-    total = Fraction(0)
-    for parts in _compositions(n, k):
-        denom = 1
-        for p in parts:
-            denom *= p
-        total += Fraction(1, denom)
-    value = (-1) ** (n - k) * factorial(n) * total
-    if value.denominator != 1:
-        raise NonIntegerResultError(f"printed composition sum for (k={k}, n={n}) is {value}")
-    return int(value)
+    return _composition_sum(k, n, 1)
 
 
 def rank_one_chain_identity(n: int) -> Verdict:

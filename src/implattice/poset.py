@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterator
 
 from .algebra import (
     ContextMismatchError,
@@ -25,8 +26,10 @@ from .algebra import (
     lattice_to_json,
     make_verdict,
     principal_ultrafilter,
+    remap,
     top_only,
     up_closure,
+    _bits,
     _enumerate_cached,
 )
 
@@ -120,17 +123,11 @@ def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpL
 
 def _expand(D: ImpLattice, upper: ImpLattice) -> ImpLattice:
     """Map a sublattice of B_w onto a sublattice of upper's element algebra."""
+    n = upper.n
     block_masks = [b.mask for b in upper.blocks]
-    base = upper.base.mask
-    for i in D.base.atoms:
-        base |= block_masks[i]
-    blocks = []
-    for blk in D.blocks:
-        mask = 0
-        for i in blk.atoms:
-            mask |= block_masks[i]
-        blocks.append(Element(upper.n, mask))
-    return ImpLattice(upper.n, Element(upper.n, base), tuple(blocks))
+    base = upper.base.mask | remap(D.base.mask, block_masks)
+    blocks = tuple(Element(n, remap(blk.mask, block_masks)) for blk in D.blocks)
+    return ImpLattice(n, Element(n, base), blocks)
 
 
 _INTERVAL_CACHE: dict[tuple[ImpLattice, ImpLattice], IntervalPoset] = {}
@@ -171,6 +168,22 @@ class MobiusTable:
         return self.mu[self.interval.upper_index]
 
 
+def _fold_below(poset: IntervalPoset, at_lower: int, combine: Callable[[Iterator[int]], int]) -> list[int]:
+    """Fold a value up the interval: ``at_lower`` at the lower end, and at
+    every other member ``combine`` of the values of the members strictly
+    below it."""
+    members = poset.members
+    value = [0] * len(members)
+    # any i < j in containment has strictly fewer blocks, so block count is a
+    # linear extension
+    for i in sorted(range(len(members)), key=lambda i: len(members[i].blocks)):
+        if i == poset.lower_index:
+            value[i] = at_lower
+        else:
+            value[i] = combine(value[j] for j in _bits(poset.down[i] & ~(1 << i)))
+    return value
+
+
 _MOBIUS_CACHE: dict[IntervalPoset, MobiusTable] = {}
 
 
@@ -178,26 +191,9 @@ def mobius_oracle(poset: IntervalPoset) -> MobiusTable:
     """Mobius by the defining recursion: mu(lower) = 1 and every proper
     down-set sums to zero."""
     got = _MOBIUS_CACHE.get(poset)
-    if got is not None:
-        return got
-    m = len(poset.members)
-    lower = poset.lower_index
-    # any i < j in containment has strictly fewer blocks, so block count is a
-    # linear extension
-    order = sorted(range(m), key=lambda i: len(poset.members[i].blocks))
-    mu = [0] * m
-    mu[lower] = 1
-    for i in order:
-        if i == lower:
-            continue
-        total = 0
-        below = poset.down[i] & ~(1 << i)
-        while below:
-            low = below & -below
-            total += mu[low.bit_length() - 1]
-            below ^= low
-        mu[i] = -total
-    got = _MOBIUS_CACHE[poset] = MobiusTable(poset, tuple(mu))
+    if got is None:
+        mu = _fold_below(poset, 1, lambda below: -sum(below))
+        got = _MOBIUS_CACHE[poset] = MobiusTable(poset, tuple(mu))
     return got
 
 
@@ -272,16 +268,8 @@ class ProductDecomposition:
 
 
 def _relabel(masks: list[int], atoms: tuple[int, ...], n_new: int) -> list[Element]:
-    pos = {a: i for i, a in enumerate(atoms)}
-    out = []
-    for mask in masks:
-        new = 0
-        while mask:
-            low = mask & -mask
-            new |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        out.append(Element(n_new, new))
-    return out
+    images = {a: 1 << i for i, a in enumerate(atoms)}
+    return [Element(n_new, remap(mask, images)) for mask in masks]
 
 
 def product_decomposition(A: ImpLattice) -> ProductDecomposition:
@@ -349,19 +337,7 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Ver
 
 def maximal_chain_length(poset: IntervalPoset) -> int:
     """Edge count of the longest chain from lower to upper."""
-    m = len(poset.members)
-    order = sorted(range(m), key=lambda i: len(poset.members[i].blocks))
-    length = [0] * m
-    for i in order:
-        if i == poset.lower_index:
-            continue
-        best = 0
-        below = poset.down[i] & ~(1 << i)
-        while below:
-            low = below & -below
-            best = max(best, length[low.bit_length() - 1] + 1)
-            below ^= low
-        length[i] = best
+    length = _fold_below(poset, 0, lambda below: max(below, default=-1) + 1)
     return length[poset.upper_index]
 
 

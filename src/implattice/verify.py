@@ -29,8 +29,10 @@ from .algebra import (
     join,
     make_verdict,
     meet,
+    remap,
     top_only,
     up_closure,
+    _bits,
 )
 from .poset import (
     closure_theorem_check,
@@ -382,12 +384,7 @@ def _claim_oracle_recursion_identity(n: int) -> Verdict:
 
     def cases():
         for i in range(len(whole)):
-            total = 0
-            below = whole.down[i]
-            while below:
-                low = below & -below
-                total += table.mu[low.bit_length() - 1]
-                below ^= low
+            total = sum(table.mu[j] for j in _bits(whole.down[i]))
             yield total == (1 if i == whole.lower_index else 0)
 
     return _sweep("oracle.recursion_identity", n, cases())
@@ -409,19 +406,14 @@ def _claim_atom_transposition(n: int) -> Verdict:
 
 def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
     """Rewrite D <= C over the atoms of C (blocks indexed by least atom)."""
+    # C has base 0, so D <= C makes D's base and blocks unions of C's blocks
     k = len(C.blocks)
-    base = 0
-    blocks = []
-    for i, cb in enumerate(C.blocks):
-        if cb.mask & D.base.mask:
-            base |= 1 << i
-    for db in D.blocks:
-        mask = 0
-        for i, cb in enumerate(C.blocks):
-            if cb.mask & db.mask:
-                mask |= 1 << i
-        blocks.append(algebra.Element(k, mask))
-    return ImpLattice(k, algebra.Element(k, base), tuple(blocks))
+    images = {a: 1 << i for i, cb in enumerate(C.blocks) for a in cb.atoms}
+    return ImpLattice(
+        k,
+        algebra.Element(k, remap(D.base.mask, images)),
+        tuple(algebra.Element(k, remap(db.mask, images)) for db in D.blocks),
+    )
 
 
 def _claim_subalgebra_relabel(n: int) -> Verdict:

@@ -41,6 +41,7 @@ def _clear_caches():
     formulas._RANK_CHAIN_CACHE.clear()
     formulas._CORRECTED_CACHE.clear()
     del formulas._STIRLING_ROWS[1:]
+    del formulas._COMPOSITION_ROWS[1:]
 
 
 def test_criterion_1_enumeration_counts(closed_families_oracle):

@@ -95,6 +95,26 @@ def test_mobius_bad_json(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "lower",
+    [
+        '{"n":2,"base":null,"blocks":[[0],[1]]}',
+        '{"n":2,"base":[],"blocks":7}',
+        '{"n":2,"base":["0"],"blocks":[[1]]}',
+        '{"n":2,"base":[0],"blocks":[[1.0]]}',
+    ],
+)
+def test_mistyped_lattice_fields_are_usage_errors(capsys, lower):
+    assert main(["mobius", "--lower", lower]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot parse --lower")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "mobius", "export"])
+def test_negative_n_is_usage_error(capsys, command):
+    assert main([command, "--n", "-1"]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 # --- verify ---------------------------------------------------------------------
 
 

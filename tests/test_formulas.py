@@ -1,10 +1,16 @@
 import math
+import pathlib
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from implattice import formulas
 from implattice.algebra import Element, ImpLattice, enumerate_all, full_algebra, top_only
 from implattice.algebra import _set_partitions
 from implattice.formulas import (
@@ -297,7 +303,8 @@ def test_printed_composition_erratum():
 
 
 def test_printed_composition_is_its_own_sum():
-    # the printed form evaluated from its definition, not via the k! identity
+    # both forms evaluated from their definition, one term per composition:
+    # the independent reference for the library's recurrence
     def harmonic_comp_sum(k, n):
         def comps(total, parts):
             if parts == 1:
@@ -315,11 +322,71 @@ def test_printed_composition_is_its_own_sum():
             acc += Fraction(1, denom)
         return acc
 
-    for n in range(1, 8):
+    for n in range(1, 13):
         for k in range(1, n + 1):
             want = (-1) ** (n - k) * math.factorial(n) * harmonic_comp_sum(k, n)
             assert want.denominator == 1
             assert mu_rank_sum_composition_printed(k, n) == int(want)
+            assert mu_rank_sum_composition(k, n) == want / math.factorial(k)
+
+
+def test_tables_grow_consistently_across_threads(monkeypatch):
+    # several threads grow the cold Stirling and composition tables at once;
+    # a tiny switch interval makes unguarded growth interleave mid-row
+    ns = range(1, 41)
+
+    def rows(order):
+        return {
+            n: (
+                [stirling2(n, k) for k in range(n + 1)],
+                [mu_rank_sum_composition(k, n) for k in range(1, n + 1)],
+            )
+            for n in order
+        }
+
+    def cold():
+        monkeypatch.setattr(formulas, "_STIRLING_ROWS", [[1]])
+        monkeypatch.setattr(formulas, "_COMPOSITION_ROWS", [[1]])
+
+    cold()
+    want = rows(ns)
+    cold()
+    workers = 8
+    results, errors = [], []
+    barrier = threading.Barrier(workers)
+
+    def worker(seed):
+        order = list(ns)
+        random.Random(seed).shuffle(order)
+        try:
+            barrier.wait(timeout=60)
+            results.append(rows(order))
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(workers)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert results == [want] * workers
+
+
+def test_erratum_report_matches_golden():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "erratum_report.py"), "10"],
+        capture_output=True,
+        check=True,
+    )
+    assert proc.stdout == (root / "tests" / "goldens" / "erratum_report_n10.txt").read_bytes()
 
 
 def test_rank_one_identity():
