@@ -373,7 +373,8 @@ def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
 # --- JSON interchange ------------------------------------------------------
 #
 # {"n": int, "base": [atoms ascending], "blocks": [[atoms ascending], ...]}
-# with blocks sorted by least element; round-trips bit-exactly.
+# with blocks sorted by least element; round-trips bit-exactly, and
+# lattice_from_dict accepts nothing else.
 
 
 def lattice_to_dict(A: ImpLattice) -> dict:
@@ -384,18 +385,32 @@ def lattice_to_dict(A: ImpLattice) -> dict:
     }
 
 
+def _atoms_from_list(n: int, atoms: object, what: str) -> Element:
+    if not isinstance(atoms, list) or any(type(a) is not int for a in atoms):
+        raise ValueError(f"{what} must be a list of integer atoms, got {atoms!r}")
+    if any(a >= b for a, b in zip(atoms, atoms[1:])):
+        raise ValueError(f"{what} atoms must be strictly ascending, got {atoms!r}")
+    return Element.from_atoms(n, atoms)
+
+
 def lattice_from_dict(d: Mapping) -> ImpLattice:
-    try:
-        n = d["n"]
-        if not isinstance(n, int):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        return ImpLattice(
-            n,
-            Element.from_atoms(n, d["base"]),
-            tuple(Element.from_atoms(n, blk) for blk in d["blocks"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"lattice object needs n/base/blocks with integer atoms: {d!r}") from exc
+    """Parse the canonical object; any other form is a ValueError."""
+    if not isinstance(d, Mapping) or set(d) != {"n", "base", "blocks"}:
+        raise ValueError(f"lattice object needs exactly the keys n, base, blocks: {d!r}")
+    n = d["n"]
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    blocks = d["blocks"]
+    if not isinstance(blocks, list):
+        raise ValueError(f"blocks must be a list of atom lists, got {blocks!r}")
+    A = ImpLattice(
+        n,
+        _atoms_from_list(n, d["base"], "base"),
+        tuple(_atoms_from_list(n, blk, "block") for blk in blocks),
+    )
+    if [list(b.atoms) for b in A.blocks] != blocks:
+        raise ValueError(f"blocks must be ordered by least atom, got {blocks!r}")
+    return A
 
 
 def lattice_to_json(A: ImpLattice) -> str:

@@ -65,9 +65,15 @@ def _cap_check(value: int, cap: int, what: str, override: bool) -> None:
         )
 
 
-def _parse_lattice(text: str, what: str) -> ImpLattice:
+def _parse_lattice(text: str, what: str, override: bool) -> ImpLattice:
+    """Parse an ImpLattice JSON argument, capping its raw ``n`` before any
+    element is built: a huge n would allocate its masks first."""
     try:
-        return lattice_from_dict(json.loads(text))
+        doc = json.loads(text)
+        n = doc.get("n") if isinstance(doc, dict) else None
+        if type(n) is int:  # any other n is lattice_from_dict's to reject
+            _cap_check(n, POSET_CAP, f"{what} n", override)
+        return lattice_from_dict(doc)
     except ValueError as exc:
         raise UsageError(f"cannot parse {what}: {exc}") from exc
 
@@ -75,16 +81,19 @@ def _parse_lattice(text: str, what: str) -> ImpLattice:
 def _resolve_interval(args: argparse.Namespace) -> IntervalPoset:
     """The interval [lower, upper] of mobius/export: --upper defaults to the
     full algebra, and a bare --n means the extreme interval [{1}, B_n]."""
-    lower = _parse_lattice(args.lower, "--lower") if args.lower else None
-    upper = _parse_lattice(args.upper, "--upper") if args.upper else None
+    lower = _parse_lattice(args.lower, "--lower", args.override_cap) if args.lower else None
+    upper = _parse_lattice(args.upper, "--upper", args.override_cap) if args.upper else None
     given = [A.n for A in (lower, upper) if A is not None]
     if not given and args.n is None:
         raise UsageError("need --lower/--upper or --n")
     if len(set(given)) > 1:
         raise UsageError(f"lower has n={lower.n} but upper has n={upper.n}")
-    n = given[0] if given else args.n
-    # checked before a default endpoint is built, which a negative n would crash
-    _cap_check(n, POSET_CAP, "interval context n", args.override_cap)
+    if given:
+        n = given[0]
+    else:
+        n = args.n
+        # checked before a default endpoint is built, which a negative n would crash
+        _cap_check(n, POSET_CAP, "interval context n", args.override_cap)
     try:
         return interval(
             top_only(n) if lower is None else lower,
@@ -103,8 +112,6 @@ def _text_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
-    if args.n is None:
-        raise UsageError("enumerate needs --n")
     _cap_check(args.n, POSET_CAP, "n", args.override_cap)
     lattices = enumerate_all(args.n)
     expected = bell(args.n + 1)
@@ -156,8 +163,6 @@ def cmd_mobius(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    if args.n_max is None:
-        raise UsageError("verify needs --n-max")
     _cap_check(args.n_max, POSET_CAP, "n-max", args.override_cap)
     verdicts = run_suite(args.suite, args.n_max)
     summary = summarize(verdicts)
@@ -186,8 +191,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
-    if args.n_max is None:
-        raise UsageError("identity needs --n-max")
     _cap_check(args.n_max, TABLE_CAP, "n-max", args.override_cap)
     rows = []
     all_ok = True

@@ -1,17 +1,26 @@
 """Explicit intervals in the sublattice order and their Mobius functions.
 
-Intervals are materialized eagerly (Bell-number sizes stay tiny at desk
-scale), the Mobius function is computed by the defining recursion, and the
-structural facts used by the closed forms -- the closure identity, the
-base/quotient product factorization, and the relabeling isomorphisms -- are
-checked here against that oracle.
+Intervals are materialized eagerly, the Mobius function is computed by the
+defining recursion, and the structural facts used by the closed forms -- the
+closure identity, the base/quotient product factorization, and the relabeling
+isomorphisms -- are checked here against that oracle.
+
+The order is graded by block count, and every cover D < C is one move on C:
+merge two of its blocks, or absorb one block into its base (the partition
+lattice cover plus a base move).  The order on a member set is therefore
+built from covers, not by comparing element sets: each member looks up its
+one-move lower neighbours among the members, and down-sets (up-sets) are
+unions of the lower (upper) covers' ones, filled in block-count order.  This
+needs every cover of the member set to be a single move, which holds for an
+interval (a convex set) and for the closed suborders: Boolean subalgebras
+step by merges, principal filters by absorbing a singleton block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     ContextMismatchError,
@@ -57,10 +66,13 @@ class IntervalPoset:
     """A finite bounded subposet of the sublattice order.
 
     ``up[i]`` / ``down[i]`` are bitmasks over member indices giving the
-    members above / below member i (reflexively); the relation always agrees
-    with ``is_sub``.  For :func:`interval` the members are exactly
+    members above / below member i (reflexively); the relation agrees with
+    ``is_sub``.  For :func:`interval` the members are exactly
     ``{D : lower <= D <= upper}`` in canonical order; :func:`closed_suborder`
-    restricts them to closure fixed points.
+    restricts them to closure fixed points.  Both are built by
+    :func:`_build_poset` from one-move covers, so every cover of the member
+    set must be one merge of two blocks or one absorb of a block into the
+    base.
     """
 
     members: tuple[ImpLattice, ...]
@@ -92,33 +104,80 @@ class IntervalPoset:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (i, j) with member i covered by member j."""
-        out = []
-        m = len(self.members)
-        for i in range(m):
-            for j in range(m):
-                if i == j or not self.leq(i, j):
-                    continue
-                between = self.up[i] & self.down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((i, j))
-        return tuple(out)
+        """Hasse edges (i, j) with member i covered by member j, sorted.
+
+        Covers step one block, and nothing lies strictly between members one
+        block apart, so the members covered by j are its down-set restricted
+        to the rank layer just below it.
+        """
+        ranks = [len(A.blocks) for A in self.members]
+        layer = [0] * (max(ranks, default=0) + 1)
+        for i, w in enumerate(ranks):
+            layer[w] |= 1 << i
+        edges = [
+            (i, j)
+            for j, w in enumerate(ranks)
+            if w
+            for i in _bits(self.down[j] & layer[w - 1])
+        ]
+        edges.sort()
+        return tuple(edges)
+
+
+def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The one-move lower neighbours of ``(base, blocks)`` as mask keys:
+    absorb block i into the base, or merge blocks i < j.  The merged block
+    keeps block i's least atom, so it stays at position i."""
+    for i, b in enumerate(blocks):
+        yield base | b, blocks[:i] + blocks[i + 1 :]
+        for j in range(i + 1, len(blocks)):
+            yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
+
+
+def _mask_key(A: ImpLattice) -> tuple[int, tuple[int, ...]]:
+    return A.base.mask, tuple(b.mask for b in A.blocks)
+
+
+def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
+    """Member indices by block count: a linear extension of the order."""
+    return sorted(range(len(members)), key=lambda i: len(members[i].blocks))
 
 
 def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
-    m = len(members)
-    elems = [frozenset(a._element_masks) for a in members]
-    up = [0] * m
-    down = [0] * m
-    for i in range(m):
-        ei = elems[i]
-        for j in range(m):
-            if ei <= elems[j]:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    """Order a member set through its one-move covers (see the module
+    docstring for when that is the whole order)."""
+    index = {_mask_key(A): i for i, A in enumerate(members)}
+    below: list[list[int]] = [[] for _ in members]
+    above: list[list[int]] = [[] for _ in members]
+    for j, A in enumerate(members):
+        for key in _lower_moves(*_mask_key(A)):
+            i = index.get(key)
+            if i is not None:
+                below[j].append(i)
+                above[i].append(j)
+    order = _by_rank(members)
     return IntervalPoset(
-        members, tuple(up), tuple(down), members.index(lower), members.index(upper)
+        members,
+        _close_over(reversed(order), above),
+        _close_over(order, below),
+        index[_mask_key(lower)],
+        index[_mask_key(upper)],
     )
+
+
+def _close_over(order: Iterable[int], covers: list[list[int]]) -> tuple[int, ...]:
+    """Reflexive-transitive closure of cover lists as bitmasks.
+
+    ``covers[i]`` lists the neighbours of member i on one side (all lower or
+    all upper covers); ``order`` must visit each member after its neighbours.
+    """
+    closed = [0] * len(covers)
+    for i in order:
+        mask = 1 << i
+        for c in covers[i]:
+            mask |= closed[c]
+        closed[i] = mask
+    return tuple(closed)
 
 
 def _expand(D: ImpLattice, upper: ImpLattice) -> ImpLattice:
@@ -172,11 +231,8 @@ def _fold_below(poset: IntervalPoset, at_lower: int, combine: Callable[[Iterator
     """Fold a value up the interval: ``at_lower`` at the lower end, and at
     every other member ``combine`` of the values of the members strictly
     below it."""
-    members = poset.members
-    value = [0] * len(members)
-    # any i < j in containment has strictly fewer blocks, so block count is a
-    # linear extension
-    for i in sorted(range(len(members)), key=lambda i: len(members[i].blocks)):
+    value = [0] * len(poset.members)
+    for i in _by_rank(poset.members):
         if i == poset.lower_index:
             value[i] = at_lower
         else:

@@ -1,8 +1,13 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from implattice import algebra, cli, formulas, poset
 from implattice.cli import main
@@ -102,6 +107,11 @@ def test_mobius_bad_json(capsys):
         '{"n":2,"base":[],"blocks":7}',
         '{"n":2,"base":["0"],"blocks":[[1]]}',
         '{"n":2,"base":[0],"blocks":[[1.0]]}',
+        '{"n":true,"base":[],"blocks":[[0]]}',
+        '{"n":2,"base":[0,0],"blocks":[[1]]}',
+        '{"n":3,"base":[],"blocks":[[2],[1,0]]}',
+        '{"n":3,"base":[],"blocks":[[2],[0,1]]}',
+        '{"n":2,"base":[0],"blocks":[[1]],"extra":0}',
     ],
 )
 def test_mistyped_lattice_fields_are_usage_errors(capsys, lower):
@@ -113,6 +123,63 @@ def test_mistyped_lattice_fields_are_usage_errors(capsys, lower):
 def test_negative_n_is_usage_error(capsys, command):
     assert main([command, "--n", "-1"]) == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mobius", "export"])
+@pytest.mark.parametrize("flag", ["--lower", "--upper"])
+def test_json_n_is_capped_before_anything_is_built(capsys, command, flag):
+    assert main([command, flag, '{"n":100000000,"base":[],"blocks":[]}']) == 2
+    assert f"{flag} n 100000000 exceeds the safety cap" in capsys.readouterr().err
+
+
+# lattice objects: canonical ones at small n, and ones with wrong types,
+# out-of-range atoms, extra keys or an n far above the cap
+_junk = st.sampled_from([None, True, False, 1.0, -0.5, "0", "", [], {}])
+_atom_lists = st.one_of(st.lists(st.integers(-2, 5) | _junk, max_size=4), _junk)
+_canonical = st.integers(0, 4).flatmap(
+    lambda n: st.sampled_from([algebra.lattice_to_dict(A) for A in algebra.enumerate_all(n)])
+)
+_arbitrary = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "n": st.one_of(st.integers(-2, 4), st.integers(9, 10**30), _junk),
+            "base": _atom_lists,
+            "blocks": st.one_of(st.lists(_atom_lists, max_size=4), _junk),
+        },
+        optional={"extra": st.integers()},
+    ),
+    _junk,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["mobius", "export"]),
+    fmt=st.sampled_from(["json", "text/dot"]),
+    lower=st.one_of(_canonical, _arbitrary),
+    upper=st.one_of(st.none(), _canonical, _arbitrary),
+)
+def test_cli_exit_contract_on_arbitrary_lattice_json(command, fmt, lower, upper):
+    # "--flag=value" keeps a JSON value like -1 from reading as an option
+    argv = [command, f"--lower={json.dumps(lower)}"]
+    if upper is not None:
+        argv.append(f"--upper={json.dumps(upper)}")
+    if fmt == "json":
+        argv += ["--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")  # --hypothesis-show-statistics shows the split
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+    elif fmt == "json":
+        json.loads(out.getvalue())
+    elif command == "mobius":
+        assert out.getvalue().startswith("mu_oracle=")
+    else:
+        assert out.getvalue().startswith("digraph hasse {\n")
+        assert out.getvalue().endswith("}\n")
 
 
 # --- verify ---------------------------------------------------------------------
@@ -254,6 +321,26 @@ def test_export_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["members"]) == 15
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["export", "--n", "6", "--format", "json"],
+            "c611e11611776ae603e4e6a49eb5cf3e92ae9d7b81658a5d39803e0820643640",
+        ),
+        (
+            ["export", "--n", "4", "--format", "dot"],
+            "f3bf3849e12980a492df94520c26a6d7f1393dd5a49bebbaad6f3d29ef3d12e8",
+        ),
+    ],
+)
+def test_export_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout, trailing newline included
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_out_file_newline_terminated(tmp_path, capsys):

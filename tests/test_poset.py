@@ -15,6 +15,7 @@ from implattice.algebra import (
     top_only,
 )
 from implattice.poset import (
+    CLOSURES,
     AtomNotBelowBaseError,
     NotClosedEndpointError,
     NotComparableError,
@@ -78,6 +79,63 @@ def test_interval_relation_properties():
                 for k in range(m):
                     if P.leq(i, j) and P.leq(j, k):
                         assert P.leq(i, k)
+
+
+# --- graded build against the containment reference -----------------------------
+
+
+def containment_order(members, lower, upper):
+    """The order by element-set containment, compared pairwise: the reference
+    for the graded one-move build."""
+    elems = [frozenset(A._element_masks) for A in members]
+    up = [0] * len(members)
+    down = [0] * len(members)
+    for i, ei in enumerate(elems):
+        for j, ej in enumerate(elems):
+            if ei <= ej:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return tuple(up), tuple(down), members.index(lower), members.index(upper)
+
+
+def pairwise_covers(P):
+    """Pairs i < j with no member strictly between, by definition."""
+    return tuple(
+        (i, j)
+        for i in range(len(P))
+        for j in range(len(P))
+        if i != j
+        and P.leq(i, j)
+        and not any(k not in (i, j) and P.leq(i, k) and P.leq(k, j) for k in range(len(P)))
+    )
+
+
+def assert_matches_containment(P, lower, upper):
+    assert (P.up, P.down, P.lower_index, P.upper_index) == containment_order(
+        P.members, lower, upper
+    )
+    assert P.covers == pairwise_covers(P)
+
+
+def test_graded_order_matches_containment_every_interval():
+    for n in range(5):
+        lattices = enumerate_all(n)
+        for lower in lattices:
+            for upper in lattices:
+                if is_sub(lower, upper):
+                    assert_matches_containment(interval(lower, upper), lower, upper)
+
+
+@pytest.mark.parametrize("closure", sorted(CLOSURES))
+def test_graded_order_matches_containment_closed_suborders(closure):
+    cl = CLOSURES[closure]
+    for n in range(5):
+        closed = [A for A in enumerate_all(n) if cl(A) == A]
+        for lower in closed:
+            for upper in closed:
+                if is_sub(lower, upper):
+                    P = closed_suborder(closure, lower, upper)
+                    assert_matches_containment(P, lower, upper)
 
 
 # --- Mobius oracle --------------------------------------------------------------
