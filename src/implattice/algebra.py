@@ -11,7 +11,7 @@ element ``a`` plus a partition of the atoms outside ``a`` into blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import json
@@ -300,24 +300,17 @@ def _set_partitions(atoms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (block0,) + sub
 
 
-_ENUM_CACHE: dict[int, tuple[ImpLattice, ...]] = {}
-
-
+@cache
 def _enumerate_cached(n: int) -> tuple[ImpLattice, ...]:
     if n < 0:
         raise ValueError(f"atom count must be >= 0, got {n}")
-    got = _ENUM_CACHE.get(n)
-    if got is None:
-        out = []
-        for base in range(1 << n):
-            outside = tuple(i for i in range(n) if not base >> i & 1)
-            for part in _set_partitions(outside):
-                out.append(
-                    ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in part))
-                )
-        out.sort(key=ImpLattice.sort_key)
-        got = _ENUM_CACHE[n] = tuple(out)
-    return got
+    out = []
+    for base in range(1 << n):
+        outside = tuple(i for i in range(n) if not base >> i & 1)
+        for part in _set_partitions(outside):
+            out.append(ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in part)))
+    out.sort(key=ImpLattice.sort_key)
+    return tuple(out)
 
 
 def enumerate_all(n: int) -> list[ImpLattice]:

@@ -80,7 +80,8 @@ def _parse_lattice(text: str, what: str, override: bool) -> ImpLattice:
 
 def _resolve_interval(args: argparse.Namespace) -> IntervalPoset:
     """The interval [lower, upper] of mobius/export: --upper defaults to the
-    full algebra, and a bare --n means the extreme interval [{1}, B_n]."""
+    full algebra, and a bare --n means the extreme interval [{1}, B_n]; an --n
+    next to them must match their n."""
     lower = _parse_lattice(args.lower, "--lower", args.override_cap) if args.lower else None
     upper = _parse_lattice(args.upper, "--upper", args.override_cap) if args.upper else None
     given = [A.n for A in (lower, upper) if A is not None]
@@ -90,6 +91,8 @@ def _resolve_interval(args: argparse.Namespace) -> IntervalPoset:
         raise UsageError(f"lower has n={lower.n} but upper has n={upper.n}")
     if given:
         n = given[0]
+        if args.n is not None and args.n != n:
+            raise UsageError(f"--n {args.n} conflicts with n={n} of --lower/--upper")
     else:
         n = args.n
         # checked before a default endpoint is built, which a negative n would crash
@@ -236,17 +239,12 @@ def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     if (args.n is None) == (args.n_max is None):
         raise UsageError("table needs exactly one of --n or --n-max")
-    if args.n is not None:
-        _cap_check(args.n, TABLE_CAP, "n", args.override_cap)
-        ns = [args.n]
-    else:
-        _cap_check(args.n_max, TABLE_CAP, "n-max", args.override_cap)
-        ns = list(range(1, args.n_max + 1))
-    if args.k is not None:
-        if args.k < 1:
-            raise UsageError(f"k must be >= 1, got {args.k}")
-        if args.n is not None and args.k > args.n:
-            raise UsageError(f"need 1 <= k <= n, got k={args.k}, n={args.n}")
+    single = args.n is not None
+    top = args.n if single else args.n_max
+    _cap_check(top, TABLE_CAP, "n" if single else "n-max", args.override_cap)
+    ns = [top] if single else list(range(1, top + 1))
+    if args.k is not None and not 1 <= args.k <= top:
+        raise UsageError(f"need 1 <= k <= {top} (the largest n), got k={args.k}")
     rows = []
     all_ok = True
     for n in ns:
@@ -371,16 +369,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = _COMMANDS[args.command](args)
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+        else:
+            sys.stdout.write(text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -15,6 +15,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .algebra import Element, ImpLattice, Verdict, full_algebra, make_verdict
@@ -125,31 +126,19 @@ def chain_report_to_dict(r: ChainSumReport) -> dict:
     }
 
 
-_RANK_CHAIN_CACHE: dict[tuple[int, int], int] = {}
-
-
+@cache
 def _rank_chain_value(k: int, n: int) -> int:
     # T(k) = 1; T(m) = -sum_{j=k}^{m-1} S(m,j) T(j): the suffix-sum form of
     # sum over chains n = n_0 > ... > n_p = k of (-1)^p prod S(n_{i-1}, n_i)
     if n == k:
         return 1
-    got = _RANK_CHAIN_CACHE.get((k, n))
-    if got is None:
-        got = -sum(stirling2(n, j) * _rank_chain_value(k, j) for j in range(k, n))
-        _RANK_CHAIN_CACHE[(k, n)] = got
-    return got
+    return -sum(stirling2(n, j) * _rank_chain_value(k, j) for j in range(k, n))
 
 
-_CORRECTED_CACHE: dict[int, int] = {}
-
-
+@cache
 def _corrected_value(n: int) -> int:
     # f(m) = (-1)^m - sum_{j=1}^{m-1} S(m,j) f(j)
-    got = _CORRECTED_CACHE.get(n)
-    if got is None:
-        got = (-1) ** n - sum(stirling2(n, j) * _corrected_value(j) for j in range(1, n))
-        _CORRECTED_CACHE[n] = got
-    return got
+    return (-1) ** n - sum(stirling2(n, j) * _corrected_value(j) for j in range(1, n))
 
 
 def chain_sum_printed(n: int) -> ChainSumReport:

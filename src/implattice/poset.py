@@ -9,18 +9,19 @@ The order is graded by block count, and every cover D < C is one move on C:
 merge two of its blocks, or absorb one block into its base (the partition
 lattice cover plus a base move).  The order on a member set is therefore
 built from covers, not by comparing element sets: each member looks up its
-one-move lower neighbours among the members, and down-sets (up-sets) are
-unions of the lower (upper) covers' ones, filled in block-count order.  This
-needs every cover of the member set to be a single move, which holds for an
-interval (a convex set) and for the closed suborders: Boolean subalgebras
-step by merges, principal filters by absorbing a singleton block.
+one-move lower neighbours among the members, and its down-set is the union of
+theirs, filled in block-count order.  The down-sets are the one stored
+relation; ``leq`` reads them.  This needs every cover of the member set to be
+a single move, which holds for an interval (a convex set) and for the closed
+suborders: Boolean subalgebras step by merges, principal filters by absorbing
+a singleton block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from functools import cache, cached_property
+from typing import Callable, Iterator
 
 from .algebra import (
     ContextMismatchError,
@@ -65,18 +66,18 @@ CLOSURES = {
 class IntervalPoset:
     """A finite bounded subposet of the sublattice order.
 
-    ``up[i]`` / ``down[i]`` are bitmasks over member indices giving the
-    members above / below member i (reflexively); the relation agrees with
+    ``down[i]`` is a bitmask over member indices giving the members below
+    member i (reflexively), the one stored relation; it agrees with
     ``is_sub``.  For :func:`interval` the members are exactly
     ``{D : lower <= D <= upper}`` in canonical order; :func:`closed_suborder`
     restricts them to closure fixed points.  Both are built by
     :func:`_build_poset` from one-move covers, so every cover of the member
     set must be one merge of two blocks or one absorb of a block into the
-    base.
+    base.  The Mobius table and the Hasse edges are computed once per poset
+    and cached on it.
     """
 
     members: tuple[ImpLattice, ...]
-    up: tuple[int, ...]
     down: tuple[int, ...]
     lower_index: int
     upper_index: int
@@ -93,7 +94,7 @@ class IntervalPoset:
         return len(self.members)
 
     def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
+        return bool(self.down[j] >> i & 1)
 
     @cached_property
     def _index(self) -> dict[ImpLattice, int]:
@@ -123,6 +124,10 @@ class IntervalPoset:
         edges.sort()
         return tuple(edges)
 
+    @cached_property
+    def _mobius(self) -> MobiusTable:
+        return MobiusTable(self, tuple(_fold_below(self, 1, lambda below: -sum(below))))
+
 
 def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The one-move lower neighbours of ``(base, blocks)`` as mask keys:
@@ -147,37 +152,15 @@ def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpL
     """Order a member set through its one-move covers (see the module
     docstring for when that is the whole order)."""
     index = {_mask_key(A): i for i, A in enumerate(members)}
-    below: list[list[int]] = [[] for _ in members]
-    above: list[list[int]] = [[] for _ in members]
-    for j, A in enumerate(members):
-        for key in _lower_moves(*_mask_key(A)):
+    down = [0] * len(members)
+    for j in _by_rank(members):  # lower neighbours have fewer blocks: done first
+        mask = 1 << j
+        for key in _lower_moves(*_mask_key(members[j])):
             i = index.get(key)
             if i is not None:
-                below[j].append(i)
-                above[i].append(j)
-    order = _by_rank(members)
-    return IntervalPoset(
-        members,
-        _close_over(reversed(order), above),
-        _close_over(order, below),
-        index[_mask_key(lower)],
-        index[_mask_key(upper)],
-    )
-
-
-def _close_over(order: Iterable[int], covers: list[list[int]]) -> tuple[int, ...]:
-    """Reflexive-transitive closure of cover lists as bitmasks.
-
-    ``covers[i]`` lists the neighbours of member i on one side (all lower or
-    all upper covers); ``order`` must visit each member after its neighbours.
-    """
-    closed = [0] * len(covers)
-    for i in order:
-        mask = 1 << i
-        for c in covers[i]:
-            mask |= closed[c]
-        closed[i] = mask
-    return tuple(closed)
+                mask |= down[i]
+        down[j] = mask
+    return IntervalPoset(members, tuple(down), index[_mask_key(lower)], index[_mask_key(upper)])
 
 
 def _expand(D: ImpLattice, upper: ImpLattice) -> ImpLattice:
@@ -189,9 +172,7 @@ def _expand(D: ImpLattice, upper: ImpLattice) -> ImpLattice:
     return ImpLattice(n, Element(n, base), blocks)
 
 
-_INTERVAL_CACHE: dict[tuple[ImpLattice, ImpLattice], IntervalPoset] = {}
-
-
+@cache
 def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """Materialize ``[lower, upper]`` in the sublattice order.
 
@@ -199,10 +180,6 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     block structure, so the candidate count is Bell(w+1) rather than
     Bell(n+1)) and filtered to those containing lower.
     """
-    key = (lower, upper)
-    got = _INTERVAL_CACHE.get(key)
-    if got is not None:
-        return got
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
     kept = []
@@ -211,8 +188,7 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
         if is_sub(lower, candidate):
             kept.append(candidate)
     members = tuple(sorted(kept, key=ImpLattice.sort_key))
-    got = _INTERVAL_CACHE[key] = _build_poset(members, lower, upper)
-    return got
+    return _build_poset(members, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -240,17 +216,10 @@ def _fold_below(poset: IntervalPoset, at_lower: int, combine: Callable[[Iterator
     return value
 
 
-_MOBIUS_CACHE: dict[IntervalPoset, MobiusTable] = {}
-
-
 def mobius_oracle(poset: IntervalPoset) -> MobiusTable:
     """Mobius by the defining recursion: mu(lower) = 1 and every proper
-    down-set sums to zero."""
-    got = _MOBIUS_CACHE.get(poset)
-    if got is None:
-        mu = _fold_below(poset, 1, lambda below: -sum(below))
-        got = _MOBIUS_CACHE[poset] = MobiusTable(poset, tuple(mu))
-    return got
+    down-set sums to zero.  Computed once per poset and cached on it."""
+    return poset._mobius
 
 
 def mobius_between(lower: ImpLattice, upper: ImpLattice) -> int:
@@ -258,23 +227,16 @@ def mobius_between(lower: ImpLattice, upper: ImpLattice) -> int:
     return mobius_oracle(interval(lower, upper)).mu_top
 
 
-_SUBORDER_CACHE: dict[tuple[str, ImpLattice, ImpLattice], IntervalPoset] = {}
-
-
+@cache
 def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """The fixed points of a closure operator between two closed bounds."""
     cl = CLOSURES.get(closure)
     if cl is None:
         raise ValueError(f"unknown closure {closure!r}; expected one of {sorted(CLOSURES)}")
-    key = (closure, lower, upper)
-    got = _SUBORDER_CACHE.get(key)
-    if got is not None:
-        return got
     if cl(lower) != lower or cl(upper) != upper:
         raise NotClosedEndpointError("closed-suborder endpoints must be closure fixed points")
     members = tuple(D for D in interval(lower, upper).members if cl(D) == D)
-    got = _SUBORDER_CACHE[key] = _build_poset(members, lower, upper)
-    return got
+    return _build_poset(members, lower, upper)
 
 
 def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice, n: int) -> Verdict:

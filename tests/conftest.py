@@ -51,6 +51,31 @@ def brute_chains(n, k):
     return out
 
 
+def clear_caches():
+    """Empty every process-wide memo: the argument-memoized functions (which
+    hold the posets, and so their cached Mobius tables and covers) and the
+    Stirling and composition row tables, trimmed back to row 0."""
+    from implattice import algebra, formulas, poset
+
+    for fn in (
+        algebra._enumerate_cached,
+        poset.interval,
+        poset.closed_suborder,
+        formulas._rank_chain_value,
+        formulas._corrected_value,
+    ):
+        fn.cache_clear()
+    del formulas._STIRLING_ROWS[1:]
+    del formulas._COMPOSITION_ROWS[1:]
+
+
+@pytest.fixture
+def cold_caches():
+    """Start the test from empty caches; the fixture's value clears them again."""
+    clear_caches()
+    return clear_caches
+
+
 @pytest.fixture(scope="session")
 def closed_families_oracle():
     return brute_closed_families

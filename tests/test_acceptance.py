@@ -1,6 +1,6 @@
 """Acceptance criteria, one test per criterion, exact values throughout.
 
-Timed criteria clear the relevant memo caches first so the bound is measured
+Timed criteria take the ``cold_caches`` fixture so the bound is measured
 from a cold start.  The conftest hook prints one PASS/FAIL line per
 criterion.
 """
@@ -10,7 +10,6 @@ import math
 import pathlib
 import time
 
-from implattice import algebra, formulas, poset
 from implattice.algebra import (
     enumerate_all,
     full_algebra,
@@ -33,19 +32,7 @@ from implattice.verify import run_claims
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 
-def _clear_caches():
-    algebra._ENUM_CACHE.clear()
-    poset._INTERVAL_CACHE.clear()
-    poset._MOBIUS_CACHE.clear()
-    poset._SUBORDER_CACHE.clear()
-    formulas._RANK_CHAIN_CACHE.clear()
-    formulas._CORRECTED_CACHE.clear()
-    del formulas._STIRLING_ROWS[1:]
-    del formulas._COMPOSITION_ROWS[1:]
-
-
-def test_criterion_1_enumeration_counts(closed_families_oracle):
-    _clear_caches()
+def test_criterion_1_enumeration_counts(cold_caches, closed_families_oracle):
     start = time.perf_counter()
     counts = [len(enumerate_all(n)) for n in range(8)]
     elapsed = time.perf_counter() - start
@@ -57,8 +44,7 @@ def test_criterion_1_enumeration_counts(closed_families_oracle):
         assert ours == brute
 
 
-def test_criterion_2_top_interval_mobius():
-    _clear_caches()
+def test_criterion_2_top_interval_mobius(cold_caches):
     start = time.perf_counter()
     for n in range(7):
         mu = mobius_between(top_only(n), full_algebra(n))
@@ -85,8 +71,7 @@ def test_criterion_3_product_formula_sweep():
         assert mobius_product_formula(A) == mobius_between(A, top)
 
 
-def test_criterion_4_chain_sums_to_15():
-    _clear_caches()
+def test_criterion_4_chain_sums_to_15(cold_caches):
     start = time.perf_counter()
     for n in range(1, 16):
         assert chain_sum_corrected(n).value == (-1) ** n * math.factorial(n)
@@ -96,8 +81,7 @@ def test_criterion_4_chain_sums_to_15():
         assert chain_sum_printed(n).value == (-1) ** n * math.factorial(n - 1)
 
 
-def test_criterion_5_closure_theorem_all_pairs():
-    _clear_caches()
+def test_criterion_5_closure_theorem_all_pairs(cold_caches):
     start = time.perf_counter()
     for n in range(5):
         lattices = enumerate_all(n)

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import subprocess
@@ -130,6 +131,15 @@ def test_negative_n_is_usage_error(capsys, command):
 def test_json_n_is_capped_before_anything_is_built(capsys, command, flag):
     assert main([command, flag, '{"n":100000000,"base":[],"blocks":[]}']) == 2
     assert f"{flag} n 100000000 exceeds the safety cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mobius", "export"])
+def test_conflicting_n_is_usage_error(capsys, command):
+    lower = '{"n":2,"base":[0],"blocks":[[1]]}'
+    assert main([command, "--n", "5", "--lower", lower]) == 2
+    assert "--n 5 conflicts with n=2" in capsys.readouterr().err
+    assert main([command, "--n", "2", "--lower", lower]) == 0
+    capsys.readouterr()
 
 
 # lattice objects: canonical ones at small n, and ones with wrong types,
@@ -298,6 +308,14 @@ def test_table_k_filter(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bound", ["--n", "--n-max"])
+def test_table_k_above_largest_n_is_usage_error(capsys, bound):
+    assert main(["table", bound, "3", "--k", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 1 <= k <= 3" in captured.err
+
+
 # --- export --------------------------------------------------------------------
 
 
@@ -353,6 +371,16 @@ def test_out_file_newline_terminated(tmp_path, capsys):
     assert json.loads(data)["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    # a missing parent directory, and a directory as the target
+    path = tmp_path / target
+    assert main(["enumerate", "--n", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write --out {path}")
+    assert "Traceback" not in captured.err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "implattice", "enumerate", "--n", "1"],
@@ -366,9 +394,11 @@ def test_console_entry_point():
 # --- operation coverage ------------------------------------------------------------
 
 
-def test_verify_all_nmax4_exercises_every_operation(capsys):
+def test_verify_all_nmax4_exercises_every_operation(capsys, cold_caches):
     # run the full suite under a profiler and require one call (at least)
-    # of every public operation of the core, poset, and formula modules
+    # of every public operation of the core, poset, and formula modules;
+    # memoized ones are keyed by the wrapped body, which runs only on a miss,
+    # hence the cold caches
     targets = {
         algebra.complement,
         algebra.implies,
@@ -406,7 +436,7 @@ def test_verify_all_nmax4_exercises_every_operation(capsys):
         formulas.mu_rank_sum_composition_printed,
         formulas.rank_one_chain_identity,
     }
-    codes = {fn.__code__: fn for fn in targets}
+    codes = {inspect.unwrap(fn).__code__: fn for fn in targets}
     seen = set()
 
     def tracer(frame, event, arg):

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 
@@ -88,14 +91,12 @@ def containment_order(members, lower, upper):
     """The order by element-set containment, compared pairwise: the reference
     for the graded one-move build."""
     elems = [frozenset(A._element_masks) for A in members]
-    up = [0] * len(members)
     down = [0] * len(members)
     for i, ei in enumerate(elems):
         for j, ej in enumerate(elems):
             if ei <= ej:
-                up[i] |= 1 << j
                 down[j] |= 1 << i
-    return tuple(up), tuple(down), members.index(lower), members.index(upper)
+    return tuple(down), members.index(lower), members.index(upper)
 
 
 def pairwise_covers(P):
@@ -111,7 +112,7 @@ def pairwise_covers(P):
 
 
 def assert_matches_containment(P, lower, upper):
-    assert (P.up, P.down, P.lower_index, P.upper_index) == containment_order(
+    assert (P.down, P.lower_index, P.upper_index) == containment_order(
         P.members, lower, upper
     )
     assert P.covers == pairwise_covers(P)
@@ -243,6 +244,60 @@ def test_closed_suborder_rejects_open_endpoints():
         closed_suborder("up", lat(3, [0], [1, 2]), full_algebra(3))
     with pytest.raises(ValueError):
         closed_suborder("sideways", top_only(2), full_algebra(2))
+
+
+def poset_layer_values(order):
+    """mu(A, B_4) for every A, then the closed-suborder mu_top of every closed
+    pair at n <= 3 for both closures, visited in a given order."""
+    top = full_algebra(4)
+    lattices = enumerate_all(4)
+    mus = {i: mobius_between(lattices[i], top) for i in order(range(len(lattices)))}
+    pairs = [
+        (closure, lower, upper)
+        for closure, cl in sorted(CLOSURES.items())
+        for n in range(4)
+        for lower in enumerate_all(n)
+        for upper in enumerate_all(n)
+        if cl(lower) == lower and cl(upper) == upper and is_sub(lower, upper)
+    ]
+    subs = {i: mobius_oracle(closed_suborder(*pairs[i])).mu_top for i in order(range(len(pairs)))}
+    return mus, subs
+
+
+def test_poset_layer_agrees_across_threads(cold_caches):
+    # several threads fill the cold interval, suborder and Mobius caches at
+    # once; a tiny switch interval makes them interleave inside each build
+    want = poset_layer_values(list)
+    cold_caches()
+    workers = 8
+    results, errors = [], []
+    barrier = threading.Barrier(workers)
+
+    def worker(seed):
+        def shuffled(indices):
+            out = list(indices)
+            random.Random(seed).shuffle(out)
+            return out
+
+        try:
+            barrier.wait(timeout=60)
+            results.append(poset_layer_values(shuffled))
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(workers)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert results == [want] * workers
 
 
 # --- product factorization ---------------------------------------------------------
