@@ -24,7 +24,6 @@ from .algebra import (
 )
 from .formulas import (
     bell,
-    chain_report_to_dict,
     chain_sum_corrected,
     chain_sum_printed,
     factorial,
@@ -74,7 +73,7 @@ def _parse_lattice(text: str, what: str, override: bool) -> ImpLattice:
         if type(n) is int:  # any other n is lattice_from_dict's to reject
             _cap_check(n, POSET_CAP, f"{what} n", override)
         return lattice_from_dict(doc)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json.loads recurses per nesting level
         raise UsageError(f"cannot parse {what}: {exc}") from exc
 
 

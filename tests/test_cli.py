@@ -120,6 +120,16 @@ def test_mistyped_lattice_fields_are_usage_errors(capsys, lower):
     assert capsys.readouterr().err.startswith("error: cannot parse --lower")
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [("mobius", "--lower", "[" * 50000), ("export", "--upper", '{"a":' * 5000)],
+    ids=["mobius-lower", "export-upper"],
+)
+def test_deeply_nested_lattice_json_is_usage_error(capsys, command, flag, text):
+    assert main([command, flag, text]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {flag}")
+
+
 @pytest.mark.parametrize("command", ["enumerate", "mobius", "export"])
 def test_negative_n_is_usage_error(capsys, command):
     assert main([command, "--n", "-1"]) == 2
@@ -233,6 +243,13 @@ def test_verify_math_failure_exits_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL method2.corrected_identity" in out
+
+
+def test_verify_failing_sweep_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(formulas, "mobius_product_formula", formulas.mobius_product_formula_printed)
+    code = main(["verify", "--suite", "method1", "--n-max", "2"])
+    assert code == 1
+    assert "FAIL method1.formula_vs_oracle n=2 cases=5 lhs=5 rhs=3" in capsys.readouterr().out
 
 
 # --- identity and table -----------------------------------------------------------

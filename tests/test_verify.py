@@ -1,5 +1,6 @@
 import pytest
 
+from implattice import formulas
 from implattice.verify import CLAIMS, SUITES, run_claims, run_suite, summarize
 
 
@@ -55,3 +56,17 @@ def test_run_claims_subset():
     assert [v.params["n"] for v in verdicts] == [0, 1, 2, 3, 4]
     assert all(v.passed for v in verdicts)
     assert [int(v.lhs) for v in verdicts] == [1, 2, 5, 15, 52]
+
+
+def test_failing_sweep_counts_every_case(monkeypatch):
+    # the printed sign exponent is wrong exactly when the base rank is odd
+    monkeypatch.setattr(formulas, "mobius_product_formula", formulas.mobius_product_formula_printed)
+    verdicts = run_claims(["method1.formula_vs_oracle"], 3)
+    assert [(v.params["n"], v.lhs, v.rhs) for v in verdicts] == [
+        (0, 1, 1),
+        (1, 2, 1),
+        (2, 5, 3),
+        (3, 15, 8),
+    ]
+    assert all(v.params["cases"] == v.lhs for v in verdicts)
+    assert [v.passed for v in verdicts] == [True, False, False, False]
