@@ -66,6 +66,8 @@ def stirling2(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Total number of set partitions: the Stirling row sum."""
+    if n < 0:
+        raise ValueError(f"bell needs n >= 0, got {n}")
     return sum(stirling2(n, k) for k in range(n + 1))
 
 

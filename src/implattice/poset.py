@@ -7,14 +7,16 @@ isomorphisms -- are checked here against that oracle.
 
 The order is graded by block count, and every cover D < C is one move on C:
 merge two of its blocks, or absorb one block into its base (the partition
-lattice cover plus a base move).  The order on a member set is therefore
+lattice cover plus a base move).  The same moves give both the members and
+the order.  The members of an interval are walked down from its upper end,
+keeping the candidates above its lower end.  The order on a member set is
 built from covers, not by comparing element sets: each member looks up its
-one-move lower neighbours among the members, and its down-set is the union of
-theirs, filled in block-count order.  The down-sets are the one stored
-relation; ``leq`` reads them.  This needs every cover of the member set to be
-a single move, which holds for an interval (a convex set) and for the closed
-suborders: Boolean subalgebras step by merges, principal filters by absorbing
-a singleton block.
+one-move lower neighbours among the members, and its down-set is the union
+of theirs, filled in block-count order.  The down-sets are the one stored
+relation; ``leq`` reads them.  This needs every cover of the member set to
+be a single move, which holds for an interval (a convex set) and, for the
+order build, for the closed suborders: Boolean subalgebras step by merges,
+principal filters by absorbing a singleton block.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .algebra import (
     top_only,
     up_closure,
     _bits,
-    _enumerate_cached,
 )
 
 
@@ -163,30 +164,28 @@ def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpL
     return IntervalPoset(members, tuple(down), index[_mask_key(lower)], index[_mask_key(upper)])
 
 
-def _expand(D: ImpLattice, upper: ImpLattice) -> ImpLattice:
-    """Map a sublattice of B_w onto a sublattice of upper's element algebra."""
-    n = upper.n
-    block_masks = [b.mask for b in upper.blocks]
-    base = upper.base.mask | remap(D.base.mask, block_masks)
-    blocks = tuple(Element(n, remap(blk.mask, block_masks)) for blk in D.blocks)
-    return ImpLattice(n, Element(n, base), blocks)
-
-
 @cache
 def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """Materialize ``[lower, upper]`` in the sublattice order.
 
-    Members are generated as sublattices of upper's element algebra (via its
-    block structure, so the candidate count is Bell(w+1) rather than
-    Bell(n+1)) and filtered to those containing lower.
+    Members are found by one-move steps down from upper, keeping each
+    candidate that contains lower and stepping on only from those.  The
+    interval is convex and every cover is one move, so a chain of covers
+    inside it leads from upper to each member.  Only the members' one-move
+    neighbours are tested, so a small interval is cheap at any n.
     """
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
-    kept = []
-    for inner in _enumerate_cached(len(upper.blocks)):
-        candidate = _expand(inner, upper)
-        if is_sub(lower, candidate):
-            kept.append(candidate)
+    n = upper.n
+    seen = {_mask_key(upper)}
+    kept = [upper]
+    for C in kept:  # grows as the walk keeps members
+        for key in _lower_moves(*_mask_key(C)):
+            if key not in seen:
+                seen.add(key)
+                D = ImpLattice(n, Element(n, key[0]), tuple(Element(n, b) for b in key[1]))
+                if is_sub(lower, D):
+                    kept.append(D)
     members = tuple(sorted(kept, key=ImpLattice.sort_key))
     return _build_poset(members, lower, upper)
 
@@ -373,7 +372,7 @@ def interval_to_dict(poset: IntervalPoset) -> dict:
         "lower": lattice_to_dict(poset.lower),
         "upper": lattice_to_dict(poset.upper),
         "members": [lattice_to_dict(m) for m in poset.members],
-        "cover_edges": [list(e) for e in sorted(poset.covers)],
+        "cover_edges": [list(e) for e in poset.covers],
     }
 
 
@@ -383,7 +382,7 @@ def interval_to_dot(poset: IntervalPoset) -> str:
     for i, member in enumerate(poset.members):
         label = lattice_to_json(member).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{i} [label="{label}"];')
-    for i, j in sorted(poset.covers):
+    for i, j in poset.covers:
         lines.append(f"  v{i} -> v{j};")
     lines.append("}")
     return "\n".join(lines)

@@ -66,6 +66,12 @@ def test_bell_values():
     assert [bell(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
 
+def test_bell_rejects_negative_n():
+    # an empty Stirling row would sum to 0; like its siblings, bell raises
+    with pytest.raises(ValueError):
+        bell(-1)
+
+
 def test_bell_binomial_recurrence():
     # B(n+1) = sum_j C(n,j) B(j), and |A(B_n)| = B(n+1)
     for n in range(8):

@@ -1,12 +1,16 @@
-"""Every name a library module imports is used in that module.
+"""Module hygiene of the library: every name a module imports is used in
+that module, and the test helper that empties the memos knows every memo.
 
 ``__init__.py`` is skipped: it imports names to re-export them.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
+
+from implattice.verify import run_suite
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "implattice"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -36,3 +40,26 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def memoized_functions():
+    """Every ``functools.cache`` function a library module defines, found by
+    its ``cache_info`` attribute."""
+    found = {}
+    for path in MODULES:
+        module = importlib.import_module(f"implattice.{path.stem}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{path.stem}.{name}"] = obj
+    return found
+
+
+def test_clear_caches_empties_every_memo(cold_caches):
+    # the cold-cache tests rely on conftest.clear_caches missing no memo; a
+    # small verify run fills every memo, so each clear below is observable
+    memos = memoized_functions()
+    assert "poset.interval" in memos
+    run_suite("all", 3)
+    assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set(memos)
+    cold_caches()
+    assert {name: fn.cache_info().currsize for name, fn in memos.items()} == dict.fromkeys(memos, 0)

@@ -16,6 +16,7 @@ from implattice.algebra import (
     is_ultrafilter,
     principal_ultrafilter,
     top_only,
+    _enumerate_cached,
 )
 from implattice.poset import (
     CLOSURES,
@@ -54,7 +55,7 @@ def test_interval_examples():
 
 
 def test_interval_members_are_exactly_the_between_set():
-    for n in range(4):
+    for n in range(5):
         lattices = enumerate_all(n)
         for lower in lattices:
             for upper in lattices:
@@ -67,6 +68,29 @@ def test_interval_members_are_exactly_the_between_set():
                     D for D in lattices if is_sub(lower, D) and is_sub(D, upper)
                 }
                 assert got == want
+
+
+def test_walk_from_the_top_reaches_every_lattice():
+    # [{1}, B_n] is the whole order: the walk must find all Bell(n+1)
+    # sublattices of the independent enumeration, in canonical order
+    for n in range(7):
+        assert interval(top_only(n), full_algebra(n)).members == tuple(enumerate_all(n))
+
+
+def test_walk_to_the_top_keeps_exactly_the_sublattices_above():
+    n = 5
+    lattices = enumerate_all(n)
+    for A in lattices:
+        want = tuple(D for D in lattices if is_sub(A, D))
+        assert interval(A, full_algebra(n)).members == want
+
+
+def test_small_interval_at_the_cap_is_output_sensitive(cold_caches):
+    # from the principal filter of atom 0 up to B_8 there are two members;
+    # finding them must not enumerate the Bell(9) = 21 147 sublattices of B_8
+    P = interval(principal_ultrafilter(8, 0), full_algebra(8))
+    assert len(P) == 2
+    assert _enumerate_cached.cache_info().currsize == 0
 
 
 def test_interval_relation_properties():
