@@ -248,6 +248,27 @@ def from_elements(S: Iterable[Element], n: int) -> ImpLattice:
     return A
 
 
+def _mask_key(A: ImpLattice) -> tuple[int, tuple[int, ...]]:
+    """``(base mask, block masks)``, the form containment is tested on."""
+    return A.base.mask, tuple([b.mask for b in A.blocks])
+
+
+def _sub_masks(base1: int, blocks1: tuple[int, ...], base2: int, blocks2: tuple[int, ...]) -> bool:
+    """Containment on mask keys: ``base1`` is an element of the second
+    sublattice and every block of the first is a union of its blocks."""
+    if base2 & ~base1:
+        return False
+    rem = base1 & ~base2
+    for m2 in blocks2:
+        if m2 & rem and m2 & ~rem:
+            return False
+    for m1 in blocks1:
+        for m2 in blocks2:
+            if m2 & m1 and m2 & ~m1:
+                return False
+    return True
+
+
 def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
     """Containment of element sets, decided combinatorially.
 
@@ -256,22 +277,7 @@ def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
     """
     if A1.n != A2.n:
         raise ContextMismatchError(f"mixed contexts n={A1.n} and n={A2.n}")
-    b1 = A1.base.mask
-    b2 = A2.base.mask
-    if b2 & ~b1:
-        return False
-    rem = b1 & ~b2
-    for blk in A2.blocks:
-        m = blk.mask
-        if m & rem and m & ~rem:
-            return False
-    for blk1 in A1.blocks:
-        m1 = blk1.mask
-        for blk2 in A2.blocks:
-            m2 = blk2.mask
-            if m2 & m1 and m2 & ~m1:
-                return False
-    return True
+    return _sub_masks(*_mask_key(A1), *_mask_key(A2))
 
 
 def _submasks(mask: int) -> Iterator[int]:

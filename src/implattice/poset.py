@@ -42,6 +42,8 @@ from .algebra import (
     top_only,
     up_closure,
     _bits,
+    _mask_key,
+    _sub_masks,
 )
 
 
@@ -140,10 +142,6 @@ def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tupl
             yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
 
 
-def _mask_key(A: ImpLattice) -> tuple[int, tuple[int, ...]]:
-    return A.base.mask, tuple(b.mask for b in A.blocks)
-
-
 def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
     """Member indices by block count: a linear extension of the order."""
     return sorted(range(len(members)), key=lambda i: len(members[i].blocks))
@@ -172,22 +170,23 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     candidate that contains lower and stepping on only from those.  The
     interval is convex and every cover is one move, so a chain of covers
     inside it leads from upper to each member.  Only the members' one-move
-    neighbours are tested, so a small interval is cheap at any n.
+    neighbours are tested, on their mask keys, so a small interval is cheap
+    at any n, and lattices are built for the kept members only.
     """
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
     n = upper.n
-    seen = {_mask_key(upper)}
-    kept = [upper]
+    low = _mask_key(lower)
+    kept = [_mask_key(upper)]
+    seen = set(kept)
     for C in kept:  # grows as the walk keeps members
-        for key in _lower_moves(*_mask_key(C)):
+        for key in _lower_moves(*C):
             if key not in seen:
                 seen.add(key)
-                D = ImpLattice(n, Element(n, key[0]), tuple(Element(n, b) for b in key[1]))
-                if is_sub(lower, D):
-                    kept.append(D)
-    members = tuple(sorted(kept, key=ImpLattice.sort_key))
-    return _build_poset(members, lower, upper)
+                if _sub_masks(*low, *key):
+                    kept.append(key)
+    members = [ImpLattice(n, Element(n, b0), tuple(Element(n, b) for b in bs)) for b0, bs in kept]
+    return _build_poset(tuple(sorted(members, key=ImpLattice.sort_key)), lower, upper)
 
 
 @dataclass(frozen=True)
@@ -243,29 +242,43 @@ def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> Inter
     return _build_poset(members, lower, upper)
 
 
+@cache
+def _closure_row(closure: str, y: ImpLattice) -> tuple[dict, dict | None]:
+    """The closure-theorem row of (closure, y), keyed by mask key: the sums
+    of ``mu(y, x)`` over [y, B_n] by closure of x, and ``mu(y, c)`` in the
+    closed suborder [y, B_n] for each member c when y is closed, else None."""
+    cl = _closure(closure)
+    whole = interval(y, full_algebra(y.n))
+    sums: dict[tuple[int, tuple[int, ...]], int] = {}
+    for x, mu in zip(whole.members, mobius_oracle(whole).mu):
+        key = _mask_key(cl(x))
+        sums[key] = sums.get(key, 0) + mu
+    if cl(y) != y:
+        return sums, None
+    sub = closed_suborder(closure, y, whole.upper)  # both closures fix B_n
+    return sums, {_mask_key(c): mu for c, mu in zip(sub.members, mobius_oracle(sub).mu)}
+
+
 def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice, n: int) -> Verdict:
     """Check the Mobius/closure identity for one pair ``y <= z``.
 
     lhs sums ``mu(y, x)`` over all x in [y, B] whose closure equals the
     closure of z; rhs is the Mobius function of the closed suborder from y to
-    cl(z) when y is itself closed, and 0 otherwise.
+    cl(z) when y is itself closed, and 0 otherwise.  Both are read from one
+    row per (closure, y), built once over [y, B].  The Mobius function is
+    local to an interval: the closed suborder from y to cl(z) is the
+    down-set of cl(z) in the closed suborder from y to B, so its ``mu_top``
+    is the row's value at cl(z).
     """
     cl = _closure(closure)
     if y.n != n or z.n != n:
         raise ContextMismatchError(f"expected context n={n}, got {y.n} and {z.n}")
     if not is_sub(y, z):
         raise NotComparableError("closure identity needs y <= z")
-    whole = interval(y, full_algebra(n))
-    table = mobius_oracle(whole)
-    cz = cl(z)
-    lhs = sum(
-        table.mu[i] for i, x in enumerate(whole.members) if cl(x) == cz
-    )
-    if cl(y) == y:
-        sub = closed_suborder(closure, y, cz)
-        rhs = mobius_oracle(sub).mu_top
-    else:
-        rhs = 0
+    sums, closed = _closure_row(closure, y)
+    key = _mask_key(cl(z))
+    lhs = sums.get(key, 0)
+    rhs = 0 if closed is None else closed[key]
     return make_verdict(f"mobius-closure-identity[{closure}]", {"n": n}, lhs, rhs)
 
 
@@ -332,6 +345,12 @@ def _agreeing_pairs(poset: IntervalPoset, leq: Callable[[int, int], bool]) -> in
     return sum(poset.leq(i, j) == leq(i, j) for i in range(m) for j in range(m))
 
 
+def _containment(lattices: list[ImpLattice]) -> Callable[[int, int], bool]:
+    """``is_sub(lattices[i], lattices[j])`` as ``leq(i, j)``, keys built once."""
+    keys = [_mask_key(A) for A in lattices]
+    return lambda i, j: _sub_masks(*keys[i], *keys[j])
+
+
 def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Verdict:
     """Swap two atoms below base(A) and compare the atom-filter intervals.
 
@@ -349,7 +368,7 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Ver
     image = [apply_atom_permutation(m, sigma) for m in src.members]
 
     passed = int(set(image) == set(dst.members) and len(src) == len(dst))
-    passed += _agreeing_pairs(src, lambda i, j: is_sub(image[i], image[j]))
+    passed += _agreeing_pairs(src, _containment(image))
     return make_verdict(
         "atom-swap-interval-isomorphism",
         {"n": n, "c1": c1, "c2": c2},

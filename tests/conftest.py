@@ -61,6 +61,7 @@ def clear_caches():
         algebra._enumerate_cached,
         poset.interval,
         poset.closed_suborder,
+        poset._closure_row,
         formulas._rank_chain_value,
         formulas._corrected_value,
     ):

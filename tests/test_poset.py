@@ -18,6 +18,7 @@ from implattice.algebra import (
     top_only,
     _enumerate_cached,
 )
+from implattice.formulas import bell
 from implattice.poset import (
     CLOSURES,
     AtomNotBelowBaseError,
@@ -33,6 +34,7 @@ from implattice.poset import (
     mobius_between,
     mobius_oracle,
     product_decomposition,
+    _closure_row,
 )
 
 
@@ -235,6 +237,46 @@ def test_closure_theorem_all_pairs(closure):
                     assert closure_theorem_check(closure, y, z, n).passed
 
 
+def closure_theorem_reference(closure, y, z, n):
+    """(lhs, rhs) of the closure identity the direct way: rescan [y, B_n]
+    for the members whose closure is cl(z), and build the closed suborder
+    from y to cl(z) itself."""
+    cl = CLOSURES[closure]
+    whole = interval(y, full_algebra(n))
+    table = mobius_oracle(whole)
+    cz = cl(z)
+    lhs = sum(table.mu[i] for i, x in enumerate(whole.members) if cl(x) == cz)
+    rhs = mobius_oracle(closed_suborder(closure, y, cz)).mu_top if cl(y) == y else 0
+    return lhs, rhs
+
+
+def test_closure_rows_match_the_direct_sums():
+    # both closures in turn for each y, so a row that forgot its closure
+    # would be read back for the other one
+    for n in range(5):
+        lattices = enumerate_all(n)
+        for y in lattices:
+            for z in lattices:
+                if is_sub(y, z):
+                    for closure in sorted(CLOSURES):
+                        v = closure_theorem_check(closure, y, z, n)
+                        assert (v.lhs, v.rhs) == closure_theorem_reference(closure, y, z, n), (closure, y, z)
+
+
+def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches):
+    # every pair of both closures at n = 5 reads one row per (closure, y)
+    # and one closed suborder per closed y: the Boolean subalgebras (Bell(5))
+    # and the principal filters (2^5)
+    n = 5
+    top = full_algebra(n)
+    for closure in sorted(CLOSURES):
+        for y in enumerate_all(n):
+            for z in interval(y, top).members:
+                assert closure_theorem_check(closure, y, z, n).passed
+    assert _closure_row.cache_info().currsize == 2 * bell(n + 1)
+    assert closed_suborder.cache_info().currsize == bell(n) + 2**n
+
+
 def test_closure_theorem_errors():
     one, top = top_only(2), full_algebra(2)
     with pytest.raises(NotComparableError):
@@ -272,7 +314,8 @@ def test_closed_suborder_rejects_open_endpoints():
 
 def poset_layer_values(order):
     """mu(A, B_4) for every A, then the closed-suborder mu_top of every closed
-    pair at n <= 3 for both closures, visited in a given order."""
+    pair and the closure-theorem (lhs, rhs) of every comparable pair at
+    n <= 3 for both closures, visited in a given order."""
     top = full_algebra(4)
     lattices = enumerate_all(4)
     mus = {i: mobius_between(lattices[i], top) for i in order(range(len(lattices)))}
@@ -285,7 +328,16 @@ def poset_layer_values(order):
         if cl(lower) == lower and cl(upper) == upper and is_sub(lower, upper)
     ]
     subs = {i: mobius_oracle(closed_suborder(*pairs[i])).mu_top for i in order(range(len(pairs)))}
-    return mus, subs
+    theorem = [
+        (closure, y, z)
+        for closure in sorted(CLOSURES)
+        for n in range(4)
+        for y in enumerate_all(n)
+        for z in enumerate_all(n)
+        if is_sub(y, z)
+    ]
+    checks = {i: closure_theorem_check(*theorem[i], theorem[i][1].n) for i in order(range(len(theorem)))}
+    return mus, subs, {i: (v.lhs, v.rhs) for i, v in checks.items()}
 
 
 def test_poset_layer_agrees_across_threads(cold_caches):
