@@ -269,6 +269,15 @@ def _sub_masks(base1: int, blocks1: tuple[int, ...], base2: int, blocks2: tuple[
     return True
 
 
+@cache
+def _lattice(n: int, key: tuple[int, tuple[int, ...]]) -> ImpLattice:
+    """The lattice of a ``(base mask, block masks)`` key, validated and built
+    once per key: the intern table that the interval walk and the closures
+    return lattices from."""
+    base, blocks = key
+    return ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in blocks))
+
+
 def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
     """Containment of element sets, decided combinatorially.
 
@@ -336,15 +345,14 @@ def complement_closure(A: ImpLattice) -> ImpLattice:
     """
     if A.base.mask == 0:
         return A
-    return ImpLattice(A.n, Element.bottom(A.n), A.blocks + (A.base,))
+    blocks = sorted([b.mask for b in A.blocks] + [A.base.mask], key=_least_atom)
+    return _lattice(A.n, (0, tuple(blocks)))
 
 
 def up_closure(A: ImpLattice) -> ImpLattice:
     """Upward closure ``[min A, 1]``: base kept, blocks split to singletons."""
-    blocks = tuple(
-        Element(A.n, 1 << i) for i in range(A.n) if not A.base.mask >> i & 1
-    )
-    return ImpLattice(A.n, A.base, blocks)
+    base = A.base.mask
+    return _lattice(A.n, (base, tuple(1 << i for i in range(A.n) if not base >> i & 1)))
 
 
 def is_boolean_subalgebra(A: ImpLattice) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .algebra import (
     ContextMismatchError,
@@ -42,6 +42,7 @@ from .algebra import (
     top_only,
     up_closure,
     _bits,
+    _lattice,
     _mask_key,
     _sub_masks,
 )
@@ -171,7 +172,8 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     interval is convex and every cover is one move, so a chain of covers
     inside it leads from upper to each member.  Only the members' one-move
     neighbours are tested, on their mask keys, so a small interval is cheap
-    at any n, and lattices are built for the kept members only.
+    at any n, and lattices are built (once per key, by ``_lattice``) for
+    the kept members only.
     """
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
@@ -185,7 +187,7 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
                 seen.add(key)
                 if _sub_masks(*low, *key):
                     kept.append(key)
-    members = [ImpLattice(n, Element(n, b0), tuple(Element(n, b) for b in bs)) for b0, bs in kept]
+    members = [_lattice(n, key) for key in kept]
     return _build_poset(tuple(sorted(members, key=ImpLattice.sort_key)), lower, upper)
 
 
@@ -305,6 +307,7 @@ def _relabel(masks: list[int], atoms: tuple[int, ...], n_new: int) -> list[Eleme
     return [Element(n_new, remap(mask, images)) for mask in masks]
 
 
+@cache
 def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     """Split ``[A, B]`` into (subalgebras of [a,1] over A) x (all of [0,a])."""
     n = A.n
@@ -337,18 +340,36 @@ def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     return ProductDecomposition(whole, p1, p2, tuple(iso))
 
 
-def _agreeing_pairs(poset: IntervalPoset, leq: Callable[[int, int], bool]) -> int:
-    """How many of the ordered member pairs (i, j) ``leq`` orders as the
-    poset does: all ``len(poset) ** 2`` of them exactly when ``leq`` is the
-    poset's order."""
+def _product_order(pd: ProductDecomposition) -> list[int]:
+    """The product of the factor orders pulled back through ``iso``, as one
+    down-mask per whole member: i is below j iff both factor parts of i are
+    below those of j.  Each factor down-set is remapped through the preimage
+    masks of its indices, so this is exact whether or not ``iso`` is a
+    bijection."""
+    pre1 = [0] * len(pd.p1)
+    pre2 = [0] * len(pd.p2)
+    for i, (i1, i2) in enumerate(pd.iso):
+        pre1[i1] |= 1 << i
+        pre2[i2] |= 1 << i
+    down1 = [remap(d, pre1) for d in pd.p1.down]
+    down2 = [remap(d, pre2) for d in pd.p2.down]
+    return [down1[i1] & down2[i2] for i1, i2 in pd.iso]
+
+
+def _agreeing_pairs(poset: IntervalPoset, down: Sequence[int]) -> int:
+    """How many of the ordered member pairs (i, j) a candidate order, given
+    as one down-mask per member, orders as the poset does: all
+    ``len(poset) ** 2`` of them exactly when ``down`` is the poset's."""
     m = len(poset)
-    return sum(poset.leq(i, j) == leq(i, j) for i in range(m) for j in range(m))
+    return m * m - sum((a ^ b).bit_count() for a, b in zip(poset.down, down, strict=True))
 
 
-def _containment(lattices: list[ImpLattice]) -> Callable[[int, int], bool]:
-    """``is_sub(lattices[i], lattices[j])`` as ``leq(i, j)``, keys built once."""
+def _containment(lattices: list[ImpLattice]) -> list[int]:
+    """The order ``is_sub`` puts on ``lattices``, as one down-mask per
+    lattice (bit i of entry j is ``is_sub(lattices[i], lattices[j])``), keys
+    built once."""
     keys = [_mask_key(A) for A in lattices]
-    return lambda i, j: _sub_masks(*keys[i], *keys[j])
+    return [sum(1 << i for i, ki in enumerate(keys) if _sub_masks(*ki, *kj)) for kj in keys]
 
 
 def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Verdict:

@@ -48,6 +48,7 @@ from .poset import (
     product_decomposition,
     _agreeing_pairs,
     _containment,
+    _product_order,
 )
 
 SUITES = ("closures", "method1", "method2", "product", "pkb", "lemmas")
@@ -196,13 +197,9 @@ def _claim_product_pairing(n: int) -> Iterator[bool]:
     isomorphism onto the product of the two factors."""
     for A in enumerate_all(n):
         pd = product_decomposition(A)
-        iso = pd.iso
         yield len(pd.whole) == len(pd.p1) * len(pd.p2)
-        yield len(set(iso)) == len(pd.whole)
-        yield _agreeing_pairs(
-            pd.whole,
-            lambda i, j: pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1]),
-        ) == len(pd.whole) ** 2
+        yield len(set(pd.iso)) == len(pd.whole)
+        yield _agreeing_pairs(pd.whole, _product_order(pd)) == len(pd.whole) ** 2
 
 
 def _claim_product_mu(n: int) -> Iterator[bool]:

@@ -53,15 +53,18 @@ def brute_chains(n, k):
 
 def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
-    hold the posets, and so their cached Mobius tables and covers) and the
-    Stirling and composition row tables, trimmed back to row 0."""
+    hold the posets, and so their cached Mobius tables and covers, the
+    product decompositions and the interned lattices) and the Stirling and
+    composition row tables, trimmed back to row 0."""
     from implattice import algebra, formulas, poset
 
     for fn in (
         algebra._enumerate_cached,
+        algebra._lattice,
         poset.interval,
         poset.closed_suborder,
         poset._closure_row,
+        poset.product_decomposition,
         formulas._rank_chain_value,
         formulas._corrected_value,
     ):

@@ -30,6 +30,8 @@ from implattice.algebra import (
     principal_ultrafilter,
     top_only,
     up_closure,
+    _lattice,
+    _mask_key,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -153,6 +155,48 @@ def test_top_belongs_to_every_lattice():
         top = Element.top(n)
         for A in enumerate_all(n):
             assert top in elements(A)
+
+
+# --- intern table ---------------------------------------------------------------
+
+
+def test_intern_table_returns_one_object_per_key():
+    A = _lattice(3, (0b001, (0b010, 0b100)))
+    assert A == lat(3, [0], [1], [2])
+    assert _lattice(3, (1, tuple([2, 4]))) is A  # an equal key, built anew
+    assert _lattice(3, (0b001, (0b110,))) == lat(3, [0], [1, 2])
+
+
+@pytest.mark.parametrize(
+    "n, key",
+    [(2, (0b01, (0b11,))), (3, (0b001, (0b110, 0b100))), (2, (0b01, ())), (3, (0, (0b011,)))],
+    ids=["block-overlaps-base", "blocks-overlap", "atom-uncovered", "atoms-uncovered"],
+)
+def test_intern_table_validates_like_the_constructor(n, key):
+    base, blocks = key
+    with pytest.raises(ValueError) as want:
+        ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in blocks))
+    size = _lattice.cache_info().currsize
+    with pytest.raises(ValueError) as got:
+        _lattice(n, key)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert _lattice.cache_info().currsize == size  # nothing interned
+
+
+def test_closures_match_their_direct_construction():
+    for n in range(5):
+        for A in enumerate_all(n):
+            singletons = tuple(Element(n, 1 << i) for i in range(n) if not A.base.mask >> i & 1)
+            assert up_closure(A) == ImpLattice(n, A.base, singletons)
+            if A.base.mask:
+                want = ImpLattice(n, Element.bottom(n), A.blocks + (A.base,))
+            else:
+                want = A
+            assert complement_closure(A) == want
+            # a new closure is the table's object for its canonical key
+            for closed in (up_closure(A), complement_closure(A)):
+                if closed is not A:
+                    assert closed is _lattice(n, _mask_key(closed))
 
 
 # --- containment -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -8,6 +9,7 @@ import pytest
 from implattice.algebra import (
     Element,
     ImpLattice,
+    apply_atom_permutation,
     elements,
     enumerate_all,
     full_algebra,
@@ -18,7 +20,7 @@ from implattice.algebra import (
     top_only,
     _enumerate_cached,
 )
-from implattice.formulas import bell
+from implattice.formulas import bell, mobius_product_formula
 from implattice.poset import (
     CLOSURES,
     AtomNotBelowBaseError,
@@ -34,8 +36,12 @@ from implattice.poset import (
     mobius_between,
     mobius_oracle,
     product_decomposition,
+    _agreeing_pairs,
     _closure_row,
+    _containment,
+    _product_order,
 )
+from implattice.verify import _contract
 
 
 def el(n, *atoms):
@@ -153,6 +159,16 @@ def test_graded_order_matches_containment_every_interval():
                     assert_matches_containment(interval(lower, upper), lower, upper)
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_whole_order_matches_is_sub_beyond_n4(n):
+    # [{1}, B_n] holds every sublattice, so this is every pair at n
+    P = interval(top_only(n), full_algebra(n))
+    want = tuple(
+        sum(1 << i for i, D in enumerate(P.members) if is_sub(D, C)) for C in P.members
+    )
+    assert P.down == want
+
+
 @pytest.mark.parametrize("closure", sorted(CLOSURES))
 def test_graded_order_matches_containment_closed_suborders(closure):
     cl = CLOSURES[closure]
@@ -206,6 +222,35 @@ def test_mobius_matches_independent_recursion(
             for pos, member in enumerate(P.members):
                 j = index[frozenset(member._element_masks)]
                 assert table.mu[pos] == brute[i, j]
+
+
+def contract_onto(A, C):
+    """A <= C rewritten over the blocks of C: block i of C becomes atom i and
+    the atoms of C's base map to nothing, so [A, C] is [A', B_w(C)]."""
+    image = {a: 1 << i for i, block in enumerate(C.blocks) for a in block.atoms}
+    image.update((a, 0) for a in C.base.atoms)
+
+    def relabel(x):
+        out = 0
+        for a in x.atoms:
+            out |= image[a]
+        return Element(C.w, out)
+
+    return ImpLattice(C.w, relabel(A.base), tuple(relabel(b) for b in A.blocks))
+
+
+def test_product_formula_on_every_interval():
+    # the closed form of [A, B_n], carried to every [A, C] by contraction:
+    # arithmetic that shares no code with the walk, the order or the fold
+    pairs = [0] * 5
+    for n in range(5):
+        lattices = enumerate_all(n)
+        for A in lattices:
+            for C in lattices:
+                if is_sub(A, C):
+                    pairs[n] += 1
+                    assert mobius_between(A, C) == mobius_product_formula(contract_onto(A, C)), (A, C)
+    assert pairs == [1, 3, 12, 60, 358]
 
 
 def test_mu_top_signed_factorial():
@@ -413,6 +458,76 @@ def test_product_mu_multiplies():
                 mobius_oracle(pd.whole).mu_top
                 == mobius_oracle(pd.p1).mu_top * mobius_oracle(pd.p2).mu_top
             )
+
+
+# --- order agreement by bitsets -------------------------------------------------------
+
+
+def agreeing_pairs_reference(P, leq):
+    """The pairwise count: how many ordered member pairs (i, j) the
+    predicate ``leq`` orders as P does."""
+    m = len(P)
+    return sum(P.leq(i, j) == leq(i, j) for i in range(m) for j in range(m))
+
+
+def assert_counts_agree(P, down, leq):
+    """The bitset count of the candidate down-masks equals the pairwise count
+    of the same order as a predicate, and flipping any one bit of one
+    candidate mask moves the count by exactly 1."""
+    count = _agreeing_pairs(P, down)
+    assert count == agreeing_pairs_reference(P, leq)
+    for j in range(len(P)):
+        for i in range(len(P)):
+            flipped = list(down)
+            flipped[j] ^= 1 << i
+            assert abs(_agreeing_pairs(P, flipped) - count) == 1
+
+
+def test_product_order_count_matches_the_pairwise_count():
+    for n in range(5):
+        for A in enumerate_all(n):
+            pd = product_decomposition(A)
+            iso = pd.iso
+            assert_counts_agree(
+                pd.whole,
+                _product_order(pd),
+                lambda i, j: pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1]),
+            )
+
+
+def test_product_order_is_exact_for_any_index_map():
+    # pulled back through an arbitrary map, not only the bijection
+    rng = random.Random(8)
+    for A in enumerate_all(3):
+        pd = product_decomposition(A)
+        iso = tuple((rng.randrange(len(pd.p1)), rng.randrange(len(pd.p2))) for _ in pd.iso)
+        want = [
+            sum(
+                1 << i
+                for i in range(len(iso))
+                if pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1])
+            )
+            for j in range(len(iso))
+        ]
+        assert _product_order(dataclasses.replace(pd, iso=iso)) == want
+
+
+def test_containment_count_matches_the_pairwise_count():
+    # the atom-swap images and the contracted images of the iso claims
+    for n in range(5):
+        for A in enumerate_all(n):
+            atoms = A.base.atoms
+            for k, c1 in enumerate(atoms):
+                for c2 in atoms[k + 1 :]:
+                    sigma = list(range(n))
+                    sigma[c1], sigma[c2] = sigma[c2], sigma[c1]
+                    src = interval(A, principal_ultrafilter(n, c1))
+                    image = [apply_atom_permutation(D, sigma) for D in src.members]
+                    assert_counts_agree(src, _containment(image), lambda i, j: is_sub(image[i], image[j]))
+            if is_boolean_subalgebra(A):
+                below = interval(top_only(n), A)
+                image = [_contract(A, D) for D in below.members]
+                assert_counts_agree(below, _containment(image), lambda i, j: is_sub(image[i], image[j]))
 
 
 # --- relabeling isomorphisms ----------------------------------------------------------
