@@ -68,6 +68,7 @@ from .poset import (
     interval_isomorphism_via_permutation,
     interval_to_dict,
     interval_to_dot,
+    interval_to_json,
     maximal_chain_length,
     mobius_between,
     mobius_oracle,

@@ -37,8 +37,8 @@ from .poset import (
     IntervalPoset,
     NotComparableError,
     interval,
-    interval_to_dict,
     interval_to_dot,
+    interval_to_json,
     mobius_oracle,
 )
 from .verify import SUITES, run_suite, summarize
@@ -296,7 +296,7 @@ def cmd_export(args: argparse.Namespace) -> tuple[str, int]:
     if args.fmt == "dot":
         text = interval_to_dot(poset)
     else:
-        text = json.dumps(interval_to_dict(poset), indent=2)
+        text = interval_to_json(poset)
     return text, 0
 
 

@@ -130,7 +130,8 @@ class IntervalPoset:
 
     @cached_property
     def _mobius(self) -> MobiusTable:
-        return MobiusTable(self, tuple(_fold_below(self, 1, lambda below: -sum(below))))
+        mu = _fold_below(self, 1, lambda below: -sum(u * c for u, c in below))
+        return MobiusTable(self, tuple(mu))
 
 
 def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -203,16 +204,33 @@ class MobiusTable:
         return self.mu[self.interval.upper_index]
 
 
-def _fold_below(poset: IntervalPoset, at_lower: int, combine: Callable[[Iterator[int]], int]) -> list[int]:
+def _fold_below(
+    poset: IntervalPoset, at_lower: int, combine: Callable[[list[tuple[int, int]]], int]
+) -> list[int]:
     """Fold a value up the interval: ``at_lower`` at the lower end, and at
     every other member ``combine`` of the values of the members strictly
-    below it."""
+    below it, grouped by value.
+
+    The members already folded are kept as one mask per distinct value, and
+    ``combine`` gets a ``(value, count)`` pair for each class that meets the
+    member's down-set.  Members go in block-count order, so every member
+    strictly below i is in a class when i is reached and i itself is in
+    none; the pairs are therefore exactly the multiset of values below i,
+    and a fold that only sums or maximises them is the same recursion
+    regrouped.  That costs one big-int AND per member and class, and the
+    classes are few: ``[{1}, B_8]`` has 9 distinct Mobius values, and chain
+    lengths take at most n + 1.
+    """
     value = [0] * len(poset.members)
+    classes: dict[int, int] = {}
     for i in _by_rank(poset.members):
         if i == poset.lower_index:
-            value[i] = at_lower
+            v = at_lower
         else:
-            value[i] = combine(value[j] for j in _bits(poset.down[i] & ~(1 << i)))
+            down = poset.down[i]
+            v = combine([(u, c) for u, mask in classes.items() if (c := (down & mask).bit_count())])
+        value[i] = v
+        classes[v] = classes.get(v, 0) | 1 << i
     return value
 
 
@@ -400,7 +418,7 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Ver
 
 def maximal_chain_length(poset: IntervalPoset) -> int:
     """Edge count of the longest chain from lower to upper."""
-    length = _fold_below(poset, 0, lambda below: max(below, default=-1) + 1)
+    length = _fold_below(poset, 0, lambda below: max((u for u, _ in below), default=-1) + 1)
     return length[poset.upper_index]
 
 
@@ -414,6 +432,44 @@ def interval_to_dict(poset: IntervalPoset) -> dict:
         "members": [lattice_to_dict(m) for m in poset.members],
         "cover_edges": [list(e) for e in poset.covers],
     }
+
+
+def _json_items(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A list (or, with ``brackets="{}"``, an object) of already rendered
+    items, laid out as ``json.dumps(..., indent=2)`` lays it out when it
+    opens at indentation ``pad``."""
+    if not items:
+        return brackets
+    sep = ",\n" + pad + "  "
+    return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1]
+
+
+def _lattice_json(doc: dict, pad: str) -> str:
+    inner = pad + "  "
+    blocks = [_json_items([str(a) for a in block], inner + "  ") for block in doc["blocks"]]
+    fields = [
+        f'"n": {doc["n"]}',
+        f'"base": {_json_items([str(a) for a in doc["base"]], inner)}',
+        f'"blocks": {_json_items(blocks, inner)}',
+    ]
+    return _json_items(fields, pad, "{}")
+
+
+def interval_to_json(poset: IntervalPoset) -> str:
+    """``json.dumps(interval_to_dict(poset), indent=2)``, byte for byte,
+    rendered by joins that know the interval schema (objects of ``n``,
+    ``base`` and ``blocks``, lists of ints) instead of by the general
+    encoder, which has no C path for ``indent``."""
+    doc = interval_to_dict(poset)
+    members = [_lattice_json(m, "    ") for m in doc["members"]]
+    edges = [f"[\n      {i},\n      {j}\n    ]" for i, j in doc["cover_edges"]]
+    fields = [
+        f'"lower": {_lattice_json(doc["lower"], "  ")}',
+        f'"upper": {_lattice_json(doc["upper"], "  ")}',
+        f'"members": {_json_items(members, "  ")}',
+        f'"cover_edges": {_json_items(edges, "  ")}',
+    ]
+    return _json_items(fields, "", "{}")
 
 
 def interval_to_dot(poset: IntervalPoset) -> str:

@@ -369,6 +369,10 @@ def test_export_json(capsys):
             ["export", "--n", "4", "--format", "dot"],
             "f3bf3849e12980a492df94520c26a6d7f1393dd5a49bebbaad6f3d29ef3d12e8",
         ),
+        (
+            ["export", "--n", "7", "--format", "json"],
+            "ca55993c0745c5efe5de3a92996ba93ed915b64550e78272709f8cb694827ea2",
+        ),
     ],
 )
 def test_export_bytes_are_pinned(capsys, argv, digest):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ from implattice.algebra import (
     is_ultrafilter,
     principal_ultrafilter,
     top_only,
+    _bits,
     _enumerate_cached,
 )
 from implattice.formulas import bell, mobius_product_formula
@@ -32,6 +34,7 @@ from implattice.poset import (
     interval_isomorphism_via_permutation,
     interval_to_dict,
     interval_to_dot,
+    interval_to_json,
     maximal_chain_length,
     mobius_between,
     mobius_oracle,
@@ -39,6 +42,7 @@ from implattice.poset import (
     _agreeing_pairs,
     _closure_row,
     _containment,
+    _fold_below,
     _product_order,
 )
 from implattice.verify import _contract
@@ -256,6 +260,41 @@ def test_product_formula_on_every_interval():
 def test_mu_top_signed_factorial():
     for n in range(6):
         assert mobius_between(top_only(n), full_algebra(n)) == (-1) ** n * math.factorial(n)
+
+
+def fold_below_reference(poset, at_lower, combine):
+    """The fold walked member by member: ``combine`` of the values of every
+    member strictly below, one set bit at a time.  The reference for the
+    value-class fold."""
+    value = [0] * len(poset.members)
+    for i in sorted(range(len(poset)), key=lambda i: len(poset.members[i].blocks)):
+        if i == poset.lower_index:
+            value[i] = at_lower
+        else:
+            value[i] = combine(value[j] for j in _bits(poset.down[i] & ~(1 << i)))
+    return value
+
+
+def assert_fold_matches_reference(P):
+    mu = fold_below_reference(P, 1, lambda below: -sum(below))
+    assert list(mobius_oracle(P).mu) == mu
+    chain = fold_below_reference(P, 0, lambda below: max(below, default=-1) + 1)
+    assert _fold_below(P, 0, lambda below: max((u for u, _ in below), default=-1) + 1) == chain
+    assert maximal_chain_length(P) == chain[P.upper_index]
+
+
+def test_value_class_fold_matches_the_per_bit_fold():
+    for n in range(5):
+        lattices = enumerate_all(n)
+        for lower in lattices:
+            for upper in lattices:
+                if is_sub(lower, upper):
+                    assert_fold_matches_reference(interval(lower, upper))
+                    for closure, cl in CLOSURES.items():
+                        if cl(lower) == lower and cl(upper) == upper:
+                            assert_fold_matches_reference(closed_suborder(closure, lower, upper))
+    for n in range(7):
+        assert_fold_matches_reference(interval(top_only(n), full_algebra(n)))
 
 
 # --- closure identity ------------------------------------------------------------
@@ -642,3 +681,24 @@ def test_interval_json():
     for i, j in doc["cover_edges"]:
         assert is_sub(P.members[i], P.members[j])
         assert elements(P.members[i]) < elements(P.members[j])
+
+
+def test_interval_json_writer_matches_the_encoder():
+    posets = [
+        interval(top_only(0), full_algebra(0)),  # base and blocks both []
+        interval(lat(2, [0], [1]), lat(2, [0], [1])),  # one member, no cover edges
+    ]
+    for n in range(4):
+        lattices = enumerate_all(n)
+        posets += [interval(A, C) for A in lattices for C in lattices if is_sub(A, C)]
+    posets += [interval(A, full_algebra(4)) for A in enumerate_all(4)]
+    posets += [interval(top_only(n), full_algebra(n)) for n in range(7)]
+    assert interval_to_dict(posets[0]) == {
+        "lower": {"n": 0, "base": [], "blocks": []},
+        "upper": {"n": 0, "base": [], "blocks": []},
+        "members": [{"n": 0, "base": [], "blocks": []}],
+        "cover_edges": [],
+    }
+    assert interval_to_dict(posets[1])["cover_edges"] == []
+    for P in posets:
+        assert interval_to_json(P) == json.dumps(interval_to_dict(P), indent=2)
