@@ -183,23 +183,19 @@ class ImpLattice:
 
 def full_algebra(n: int) -> ImpLattice:
     """The whole algebra ``B_n``: empty base, singleton blocks."""
-    return ImpLattice(n, Element.bottom(n), tuple(Element(n, 1 << i) for i in range(n)))
+    return _lattice(n, (0, tuple(1 << i for i in range(n))))
 
 
 def top_only(n: int) -> ImpLattice:
     """The one-element sublattice ``{1}``."""
-    return ImpLattice(n, Element.top(n), ())
+    return _lattice(n, (_full_mask(n), ()))
 
 
 def principal_ultrafilter(n: int, atom: int) -> ImpLattice:
     """The filter ``[c, 1]`` for a single atom ``c``."""
     if not 0 <= atom < n:
         raise ValueError(f"atom {atom} out of range for n={n}")
-    return ImpLattice(
-        n,
-        Element(n, 1 << atom),
-        tuple(Element(n, 1 << i) for i in range(n) if i != atom),
-    )
+    return _lattice(n, (1 << atom, tuple(1 << i for i in range(n) if i != atom)))
 
 
 def elements(A: ImpLattice) -> frozenset[Element]:
@@ -243,7 +239,7 @@ def from_elements(S: Iterable[Element], n: int) -> ImpLattice:
             if m >> i & 1:
                 cell &= m
         block_masks.add(cell & ~base)
-    A = ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in block_masks))
+    A = _interned(n, base, block_masks)
     assert set(A._element_masks) == mask_set
     return A
 
@@ -272,10 +268,29 @@ def _sub_masks(base1: int, blocks1: tuple[int, ...], base2: int, blocks2: tuple[
 @cache
 def _lattice(n: int, key: tuple[int, tuple[int, ...]]) -> ImpLattice:
     """The lattice of a ``(base mask, block masks)`` key, validated and built
-    once per key: the intern table that the interval walk and the closures
-    return lattices from."""
+    once per key: the intern table that every sublattice the program builds
+    comes from.  The key must be canonical, blocks sorted by least atom as
+    ``_mask_key`` gives them; an equal lattice under another block order
+    would be built again under its own key.  Masks in any other order go
+    through :func:`_interned`."""
     base, blocks = key
     return ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in blocks))
+
+
+def _interned(
+    n: int,
+    base: int,
+    blocks: Iterable[int],
+    images: Sequence[int] | Mapping[int, int] | None = None,
+) -> ImpLattice:
+    """The interned lattice of a base mask and block masks in any order,
+    each mask first relabeled through ``images`` (see :func:`remap`) when
+    given: the blocks are sorted by least atom and the key looked up by
+    :func:`_lattice`."""
+    if images is not None:
+        base = remap(base, images)
+        blocks = [remap(b, images) for b in blocks]
+    return _lattice(n, (base, tuple(sorted(blocks, key=_least_atom))))
 
 
 def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
@@ -323,7 +338,7 @@ def _enumerate_cached(n: int) -> tuple[ImpLattice, ...]:
     for base in range(1 << n):
         outside = tuple(i for i in range(n) if not base >> i & 1)
         for part in _set_partitions(outside):
-            out.append(ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in part)))
+            out.append(_lattice(n, (base, part)))
     out.sort(key=ImpLattice.sort_key)
     return tuple(out)
 
@@ -345,8 +360,7 @@ def complement_closure(A: ImpLattice) -> ImpLattice:
     """
     if A.base.mask == 0:
         return A
-    blocks = sorted([b.mask for b in A.blocks] + [A.base.mask], key=_least_atom)
-    return _lattice(A.n, (0, tuple(blocks)))
+    return _interned(A.n, 0, [b.mask for b in A.blocks] + [A.base.mask])
 
 
 def up_closure(A: ImpLattice) -> ImpLattice:
@@ -369,12 +383,7 @@ def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
     """Relabel atoms by a permutation sigma (an automorphism of ``B_n``)."""
     if sorted(sigma) != list(range(A.n)):
         raise ValueError(f"not a permutation of range({A.n}): {sigma!r}")
-    images = [1 << s for s in sigma]
-    return ImpLattice(
-        A.n,
-        Element(A.n, remap(A.base.mask, images)),
-        tuple(Element(A.n, remap(b.mask, images)) for b in A.blocks),
-    )
+    return _interned(A.n, *_mask_key(A), [1 << s for s in sigma])
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .algebra import Element, ImpLattice, Verdict, full_algebra, make_verdict
-from .algebra import _set_partitions
+from .algebra import ImpLattice, Verdict, full_algebra, make_verdict
+from .algebra import _lattice, _set_partitions
 from .poset import mobius_between
 
 
@@ -185,8 +185,7 @@ def mu_rank_sum_oracle(k: int, n: int) -> int:
     for part in _set_partitions(tuple(range(n))):
         if len(part) != k:
             continue
-        A = ImpLattice(n, Element.bottom(n), tuple(Element(n, b) for b in part))
-        total += mobius_between(A, top)
+        total += mobius_between(_lattice(n, (0, part)), top)
     return total
 
 

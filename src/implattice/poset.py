@@ -27,10 +27,10 @@ from typing import Callable, Iterator, Sequence
 
 from .algebra import (
     ContextMismatchError,
-    Element,
     ImpLattice,
     Verdict,
     apply_atom_permutation,
+    complement,
     complement_closure,
     full_algebra,
     is_sub,
@@ -42,6 +42,7 @@ from .algebra import (
     top_only,
     up_closure,
     _bits,
+    _interned,
     _lattice,
     _mask_key,
     _sub_masks,
@@ -320,25 +321,17 @@ class ProductDecomposition:
     iso: tuple[tuple[int, int], ...]
 
 
-def _relabel(masks: list[int], atoms: tuple[int, ...], n_new: int) -> list[Element]:
-    images = {a: 1 << i for i, a in enumerate(atoms)}
-    return [Element(n_new, remap(mask, images)) for mask in masks]
-
-
 @cache
 def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     """Split ``[A, B]`` into (subalgebras of [a,1] over A) x (all of [0,a])."""
     n = A.n
     a = A.base.mask
-    out_atoms = tuple(i for i in range(n) if not a >> i & 1)
-    in_atoms = tuple(i for i in range(n) if a >> i & 1)
-    n1, n2 = len(out_atoms), len(in_atoms)
+    # relabel the atoms outside a, and those of a, onto 0, 1, ... in order
+    out_images = {x: 1 << i for i, x in enumerate(complement(A.base).atoms)}
+    in_images = {x: 1 << i for i, x in enumerate(A.base.atoms)}
+    n1, n2 = len(out_images), len(in_images)
 
-    lower1 = ImpLattice(
-        n1,
-        Element.bottom(n1),
-        tuple(_relabel([b.mask for b in A.blocks], out_atoms, n1)),
-    )
+    lower1 = _interned(n1, 0, [b.mask for b in A.blocks], out_images)
     p1 = interval(lower1, full_algebra(n1))
     p2 = interval(top_only(n2), full_algebra(n2))
     whole = interval(A, full_algebra(n))
@@ -348,12 +341,8 @@ def product_decomposition(A: ImpLattice) -> ProductDecomposition:
         # A <= C forces every block of C inside or outside a
         above = [b.mask for b in C.blocks if not b.mask & a]
         below = [b.mask for b in C.blocks if b.mask & a]
-        d1 = ImpLattice(n1, Element.bottom(n1), tuple(_relabel(above, out_atoms, n1)))
-        d2 = ImpLattice(
-            n2,
-            _relabel([C.base.mask], in_atoms, n2)[0],
-            tuple(_relabel(below, in_atoms, n2)),
-        )
+        d1 = _interned(n1, 0, above, out_images)
+        d2 = _interned(n2, C.base.mask, below, in_images)
         iso.append((p1.index_of(d1), p2.index_of(d2)))
     return ProductDecomposition(whole, p1, p2, tuple(iso))
 

@@ -33,10 +33,11 @@ from .algebra import (
     join,
     make_verdict,
     meet,
-    remap,
     top_only,
     up_closure,
     _bits,
+    _interned,
+    _mask_key,
 )
 from .poset import (
     closure_theorem_check,
@@ -305,13 +306,8 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
 def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
     """Rewrite D <= C over the atoms of C (blocks indexed by least atom)."""
     # C has base 0, so D <= C makes D's base and blocks unions of C's blocks
-    k = len(C.blocks)
     images = {a: 1 << i for i, cb in enumerate(C.blocks) for a in cb.atoms}
-    return ImpLattice(
-        k,
-        algebra.Element(k, remap(D.base.mask, images)),
-        tuple(algebra.Element(k, remap(db.mask, images)) for db in D.blocks),
-    )
+    return _interned(C.w, *_mask_key(D), images)
 
 
 def _claim_subalgebra_relabel(n: int) -> Iterator[bool]:

@@ -1,5 +1,6 @@
 """Module hygiene of the library: every name a module imports is used in
-that module, and the test helper that empties the memos knows every memo.
+that module, only ``algebra`` constructs ``ImpLattice`` objects, and the test
+helper that empties the memos knows every memo.
 
 ``__init__.py`` is skipped: it imports names to re-export them.
 """
@@ -40,6 +41,35 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def constructor_calls(source: str, name: str = "ImpLattice") -> list[int]:
+    """Lines that call ``name``, bare or as a module attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_checker_sees_a_constructor_call():
+    source = (
+        "from .algebra import ImpLattice\n"
+        "def f(A: ImpLattice) -> ImpLattice:\n"
+        "    return ImpLattice(A.n, A.base, ())\n"
+        "key = algebra.ImpLattice.sort_key\n"
+        "B = algebra.ImpLattice(0, e, ())\n"
+    )
+    assert constructor_calls(source) == [3, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE.glob("*.py") if p.name != "algebra.py"], ids=lambda p: p.name
+)
+def test_only_algebra_constructs_lattices(path):
+    # every other module gets its lattices from algebra's intern table
+    assert constructor_calls(path.read_text(encoding="utf-8")) == []
 
 
 def memoized_functions():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -21,7 +22,10 @@ from implattice.algebra import (
     top_only,
     _bits,
     _enumerate_cached,
+    _lattice,
+    _mask_key,
 )
+from implattice import poset
 from implattice.formulas import bell, mobius_product_formula
 from implattice.poset import (
     CLOSURES,
@@ -399,7 +403,9 @@ def test_closed_suborder_rejects_open_endpoints():
 def poset_layer_values(order):
     """mu(A, B_4) for every A, then the closed-suborder mu_top of every closed
     pair and the closure-theorem (lhs, rhs) of every comparable pair at
-    n <= 3 for both closures, visited in a given order."""
+    n <= 3 for both closures, then the product-decomposition index map of
+    every A and the atom-swap verdict of every swap at n <= 3 (both relabel
+    through the intern table), visited in a given order."""
     top = full_algebra(4)
     lattices = enumerate_all(4)
     mus = {i: mobius_between(lattices[i], top) for i in order(range(len(lattices)))}
@@ -421,7 +427,16 @@ def poset_layer_values(order):
         if is_sub(y, z)
     ]
     checks = {i: closure_theorem_check(*theorem[i], theorem[i][1].n) for i in order(range(len(theorem)))}
-    return mus, subs, {i: (v.lhs, v.rhs) for i, v in checks.items()}
+    small = [A for n in range(4) for A in enumerate_all(n)]
+    isos = {i: product_decomposition(small[i]).iso for i in order(range(len(small)))}
+    swaps = [
+        (A, c1, c2)
+        for A in small
+        for k, c1 in enumerate(A.base.atoms)
+        for c2 in A.base.atoms[k + 1 :]
+    ]
+    swapped = {i: interval_isomorphism_via_permutation(*swaps[i]) for i in order(range(len(swaps)))}
+    return mus, subs, {i: (v.lhs, v.rhs) for i, v in checks.items()}, isos, swapped
 
 
 def test_poset_layer_agrees_across_threads(cold_caches):
@@ -569,6 +584,60 @@ def test_containment_count_matches_the_pairwise_count():
                 assert_counts_agree(below, _containment(image), lambda i, j: is_sub(image[i], image[j]))
 
 
+# --- one intern table -----------------------------------------------------------------
+
+
+def swap_bits(mask, c1, c2):
+    flip = (mask >> c1 ^ mask >> c2) & 1
+    return mask ^ (flip << c1 | flip << c2)
+
+
+def test_every_route_returns_the_interned_lattice(cold_caches, monkeypatch):
+    # on cold caches no lattice predates the table, so a lattice that is not
+    # the table's object for its key was built outside the table
+    for n in range(6):
+        named = [full_algebra(n), top_only(n)] + [principal_ultrafilter(n, c) for c in range(n)]
+        assert all(A is _lattice(n, _mask_key(A)) for A in named)
+        assert full_algebra(n) is full_algebra(n)
+        walked = interval(top_only(n), full_algebra(n)).members
+        assert all(A is D for A, D in zip(enumerate_all(n), walked, strict=True))
+
+    reordered = 0
+    for n in range(5):
+        for A in enumerate_all(n):
+            for c1 in range(n):
+                for c2 in range(c1 + 1, n):
+                    sigma = list(range(n))
+                    sigma[c1], sigma[c2] = c2, c1
+                    blocks = [swap_bits(b.mask, c1, c2) for b in A.blocks]
+                    key = (swap_bits(A.base.mask, c1, c2), tuple(sorted(blocks, key=lambda b: b & -b)))
+                    reordered += list(key[1]) != blocks
+                    assert apply_atom_permutation(A, sigma) is _lattice(n, key)
+            if is_boolean_subalgebra(A):
+                lattices = enumerate_all(A.w)
+                for D in interval(top_only(n), A).members:
+                    image = _contract(A, D)
+                    assert lattices[lattices.index(image)] is image
+    assert reordered  # some swaps leave the blocks out of order, so they are sorted
+
+    built = []
+    interned = poset._interned
+
+    def recording(*args):
+        built.append(interned(*args))
+        return built[-1]
+
+    monkeypatch.setattr(poset, "_interned", recording)
+    for n in range(5):
+        for A in enumerate_all(n):
+            built.clear()
+            pd = product_decomposition(A)
+            # the lower end of the first factor, then the two parts of each member
+            assert built[0] is pd.p1.lower
+            parts = [(pd.p1.members[i1], pd.p2.members[i2]) for i1, i2 in pd.iso]
+            assert all(a is b for a, b in zip(built[1:], [d for pair in parts for d in pair], strict=True))
+
+
 # --- relabeling isomorphisms ----------------------------------------------------------
 
 
@@ -636,6 +705,35 @@ def test_maximal_chain_examples():
 def test_maximal_chain_of_full_interval_is_n():
     for n in range(6):
         assert maximal_chain_length(interval(top_only(n), full_algebra(n))) == n
+
+
+def chains_by_length(lattices, lower, upper):
+    """``c[k]``, the number of chains lower = x0 < ... < xk = upper, counted
+    one chain at a time over ``is_sub`` (no poset or fold code)."""
+    between = [D for D in lattices if is_sub(lower, D) and is_sub(D, upper)]
+    counts = collections.Counter()
+
+    def extend(x, k):
+        if x == upper:
+            counts[k] += 1
+            return
+        for y in between:
+            if y != x and is_sub(x, y):
+                extend(y, k + 1)
+
+    extend(lower, 0)
+    return counts
+
+
+def test_mobius_is_the_alternating_chain_count():
+    # Philip Hall's theorem: mu(A, C) = sum over k of (-1)^k c_k
+    for n in range(4):
+        lattices = enumerate_all(n)
+        for A in lattices:
+            for C in lattices:
+                if is_sub(A, C):
+                    counts = chains_by_length(lattices, A, C)
+                    assert mobius_between(A, C) == sum((-1) ** k * c for k, c in counts.items())
 
 
 # --- exports ---------------------------------------------------------------------------
