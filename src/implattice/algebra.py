@@ -10,7 +10,7 @@ element ``a`` plus a partition of the atoms outside ``a`` into blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -138,15 +138,17 @@ class ImpLattice:
 
     ``base`` is the minimum element; ``blocks`` partition the atoms outside
     ``base`` and are the atom classes of the subalgebra of ``[base, 1]``.
-    Blocks are kept sorted by least atom so equality and hashing are
-    representation-independent.  The element set is
+    Blocks are kept sorted by least atom, and ``key``, the ``(base mask,
+    block masks)`` pair taken from them, is the lattice's identity:
+    equality and hashing read ``(n, key)`` only.  The element set is
     ``{base | union(S) : S subset of blocks}`` and has size ``2**w`` where
     ``w = len(blocks)``.
     """
 
     n: int
-    base: Element
-    blocks: tuple[Element, ...]
+    base: Element = field(compare=False)
+    blocks: tuple[Element, ...] = field(compare=False)
+    key: tuple[int, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         blocks = tuple(sorted(self.blocks, key=lambda b: _least_atom(b.mask)))
@@ -164,6 +166,7 @@ class ImpLattice:
             cover |= b.mask
         if cover != _full_mask(self.n):
             raise ValueError("base and blocks must cover every atom")
+        object.__setattr__(self, "key", (self.base.mask, tuple([b.mask for b in blocks])))
 
     @property
     def w(self) -> int:
@@ -244,11 +247,6 @@ def from_elements(S: Iterable[Element], n: int) -> ImpLattice:
     return A
 
 
-def _mask_key(A: ImpLattice) -> tuple[int, tuple[int, ...]]:
-    """``(base mask, block masks)``, the form containment is tested on."""
-    return A.base.mask, tuple([b.mask for b in A.blocks])
-
-
 def _sub_masks(base1: int, blocks1: tuple[int, ...], base2: int, blocks2: tuple[int, ...]) -> bool:
     """Containment on mask keys: ``base1`` is an element of the second
     sublattice and every block of the first is a union of its blocks."""
@@ -270,9 +268,9 @@ def _lattice(n: int, key: tuple[int, tuple[int, ...]]) -> ImpLattice:
     """The lattice of a ``(base mask, block masks)`` key, validated and built
     once per key: the intern table that every sublattice the program builds
     comes from.  The key must be canonical, blocks sorted by least atom as
-    ``_mask_key`` gives them; an equal lattice under another block order
-    would be built again under its own key.  Masks in any other order go
-    through :func:`_interned`."""
+    ``ImpLattice.key`` holds them; an equal lattice under another block
+    order would be built again under its own key.  Masks in any other order
+    go through :func:`_interned`."""
     base, blocks = key
     return ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in blocks))
 
@@ -301,7 +299,7 @@ def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
     """
     if A1.n != A2.n:
         raise ContextMismatchError(f"mixed contexts n={A1.n} and n={A2.n}")
-    return _sub_masks(*_mask_key(A1), *_mask_key(A2))
+    return _sub_masks(*A1.key, *A2.key)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -383,7 +381,7 @@ def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
     """Relabel atoms by a permutation sigma (an automorphism of ``B_n``)."""
     if sorted(sigma) != list(range(A.n)):
         raise ValueError(f"not a permutation of range({A.n}): {sigma!r}")
-    return _interned(A.n, *_mask_key(A), [1 << s for s in sigma])
+    return _interned(A.n, *A.key, [1 << s for s in sigma])
 
 
 # --- JSON interchange ------------------------------------------------------

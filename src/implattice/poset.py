@@ -44,7 +44,6 @@ from .algebra import (
     _bits,
     _interned,
     _lattice,
-    _mask_key,
     _sub_masks,
 )
 
@@ -153,16 +152,16 @@ def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
 def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """Order a member set through its one-move covers (see the module
     docstring for when that is the whole order)."""
-    index = {_mask_key(A): i for i, A in enumerate(members)}
+    index = {A.key: i for i, A in enumerate(members)}
     down = [0] * len(members)
     for j in _by_rank(members):  # lower neighbours have fewer blocks: done first
         mask = 1 << j
-        for key in _lower_moves(*_mask_key(members[j])):
+        for key in _lower_moves(*members[j].key):
             i = index.get(key)
             if i is not None:
                 mask |= down[i]
         down[j] = mask
-    return IntervalPoset(members, tuple(down), index[_mask_key(lower)], index[_mask_key(upper)])
+    return IntervalPoset(members, tuple(down), index[lower.key], index[upper.key])
 
 
 @cache
@@ -180,8 +179,8 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
     n = upper.n
-    low = _mask_key(lower)
-    kept = [_mask_key(upper)]
+    low = lower.key
+    kept = [upper.key]
     seen = set(kept)
     for C in kept:  # grows as the walk keeps members
         for key in _lower_moves(*C):
@@ -265,19 +264,19 @@ def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> Inter
 
 @cache
 def _closure_row(closure: str, y: ImpLattice) -> tuple[dict, dict | None]:
-    """The closure-theorem row of (closure, y), keyed by mask key: the sums
+    """The closure-theorem row of (closure, y), keyed by lattice: the sums
     of ``mu(y, x)`` over [y, B_n] by closure of x, and ``mu(y, c)`` in the
     closed suborder [y, B_n] for each member c when y is closed, else None."""
     cl = _closure(closure)
     whole = interval(y, full_algebra(y.n))
-    sums: dict[tuple[int, tuple[int, ...]], int] = {}
+    sums: dict[ImpLattice, int] = {}
     for x, mu in zip(whole.members, mobius_oracle(whole).mu):
-        key = _mask_key(cl(x))
-        sums[key] = sums.get(key, 0) + mu
+        c = cl(x)
+        sums[c] = sums.get(c, 0) + mu
     if cl(y) != y:
         return sums, None
     sub = closed_suborder(closure, y, whole.upper)  # both closures fix B_n
-    return sums, {_mask_key(c): mu for c, mu in zip(sub.members, mobius_oracle(sub).mu)}
+    return sums, dict(zip(sub.members, mobius_oracle(sub).mu))
 
 
 def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice, n: int) -> Verdict:
@@ -297,9 +296,9 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice, n: int) ->
     if not is_sub(y, z):
         raise NotComparableError("closure identity needs y <= z")
     sums, closed = _closure_row(closure, y)
-    key = _mask_key(cl(z))
-    lhs = sums.get(key, 0)
-    rhs = 0 if closed is None else closed[key]
+    c = cl(z)
+    lhs = sums.get(c, 0)
+    rhs = 0 if closed is None else closed[c]
     return make_verdict(f"mobius-closure-identity[{closure}]", {"n": n}, lhs, rhs)
 
 
@@ -375,7 +374,7 @@ def _containment(lattices: list[ImpLattice]) -> list[int]:
     """The order ``is_sub`` puts on ``lattices``, as one down-mask per
     lattice (bit i of entry j is ``is_sub(lattices[i], lattices[j])``), keys
     built once."""
-    keys = [_mask_key(A) for A in lattices]
+    keys = [A.key for A in lattices]
     return [sum(1 << i for i, ki in enumerate(keys) if _sub_masks(*ki, *kj)) for kj in keys]
 
 

@@ -37,7 +37,6 @@ from .algebra import (
     up_closure,
     _bits,
     _interned,
-    _mask_key,
 )
 from .poset import (
     closure_theorem_check,
@@ -307,7 +306,7 @@ def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
     """Rewrite D <= C over the atoms of C (blocks indexed by least atom)."""
     # C has base 0, so D <= C makes D's base and blocks unions of C's blocks
     images = {a: 1 << i for i, cb in enumerate(C.blocks) for a in cb.atoms}
-    return _interned(C.w, *_mask_key(D), images)
+    return _interned(C.w, *D.key, images)
 
 
 def _claim_subalgebra_relabel(n: int) -> Iterator[bool]:

@@ -31,7 +31,6 @@ from implattice.algebra import (
     top_only,
     up_closure,
     _lattice,
-    _mask_key,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
@@ -104,6 +103,27 @@ def test_blocks_canonical_order():
     b = ImpLattice(3, el(3), (el(3, 0, 1), el(3, 2)))
     assert a == b
     assert [blk.atoms for blk in a.blocks] == [(0, 1), (2,)]
+
+
+def test_key_is_the_identity():
+    # the key is the (base mask, block masks) pair of the canonical blocks
+    for n in range(5):
+        for A in enumerate_all(n):
+            assert A.key == (A.base.mask, tuple(b.mask for b in A.blocks))
+    # == and hash agree with element-set equality on every pair, across n
+    # too, against copies built by the constructor with reversed blocks
+    lattices = [A for n in range(4) for A in enumerate_all(n)]
+    for A in lattices:
+        for B in lattices:
+            copy = ImpLattice(B.n, B.base, B.blocks[::-1])
+            assert (A == copy) == (elements(A) == elements(B)), (A, B)
+            if A == copy:
+                assert hash(A) == hash(copy)
+    # blocks given out of order: equal to the interned lattice of the key
+    A = ImpLattice(4, el(4, 1), (el(4, 3), el(4, 0, 2)))
+    key = (0b0010, (0b0101, 0b1000))
+    assert A.key == key
+    assert A == _lattice(4, key) and hash(A) == hash(_lattice(4, key))
 
 
 def test_elements_examples():
@@ -196,7 +216,7 @@ def test_closures_match_their_direct_construction():
             # a new closure is the table's object for its canonical key
             for closed in (up_closure(A), complement_closure(A)):
                 if closed is not A:
-                    assert closed is _lattice(n, _mask_key(closed))
+                    assert closed is _lattice(n, closed.key)
 
 
 # --- containment -------------------------------------------------------------

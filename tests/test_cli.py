@@ -3,6 +3,8 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -403,10 +405,15 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
 
 
 def test_console_entry_point():
+    # the child finds the package in this checkout's src, installed or not
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "implattice", "enumerate", "--n", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "count=2 bell=2 ok"
