@@ -6,11 +6,13 @@ is a nonempty subset closed under ``x -> y = ~x | y`` and meet; every such
 subset is a Boolean subalgebra of the interval ``[a, 1]`` where ``a`` is its
 minimum, so it is captured canonically by a *partial partition*: the base
 element ``a`` plus a partition of the atoms outside ``a`` into blocks.
+:class:`ImpLattice` stores exactly that as masks, ``(n, key)``, and every
+sublattice the program builds comes from one intern table, :func:`_lattice`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -86,10 +88,6 @@ class Element:
         return cls(n, mask)
 
     @classmethod
-    def bottom(cls, n: int) -> "Element":
-        return cls(n, 0)
-
-    @classmethod
     def top(cls, n: int) -> "Element":
         return cls(n, _full_mask(n))
 
@@ -128,60 +126,63 @@ def join(x: Element, y: Element) -> Element:
     return Element(x.n, x.mask | y.mask)
 
 
-def _least_atom(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 @dataclass(frozen=True)
 class ImpLattice:
     """Canonical form of an implication sublattice of ``B_n``.
 
-    ``base`` is the minimum element; ``blocks`` partition the atoms outside
-    ``base`` and are the atom classes of the subalgebra of ``[base, 1]``.
-    Blocks are kept sorted by least atom, and ``key``, the ``(base mask,
-    block masks)`` pair taken from them, is the lattice's identity:
-    equality and hashing read ``(n, key)`` only.  The element set is
-    ``{base | union(S) : S subset of blocks}`` and has size ``2**w`` where
-    ``w = len(blocks)``.
+    ``key``, the one stored form, is the ``(base mask, block masks)`` pair:
+    the minimum element, and the blocks partitioning the atoms outside it
+    (the atom classes of the subalgebra of ``[base, 1]``), sorted by least
+    atom.  The constructor validates the key and rejects any other block
+    order; ``==`` and ``hash`` read ``(n, key)``, and ``base``/``blocks``
+    are Element views built on request.  The element set is
+    ``{base | union(S) : S subset of blocks}``, of size ``2**w``.
     """
 
     n: int
-    base: Element = field(compare=False)
-    blocks: tuple[Element, ...] = field(compare=False)
-    key: tuple[int, tuple[int, ...]] = field(init=False, repr=False)
+    key: tuple[int, tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        blocks = tuple(sorted(self.blocks, key=lambda b: _least_atom(b.mask)))
-        object.__setattr__(self, "blocks", blocks)
-        if self.base.n != self.n:
-            raise ContextMismatchError(f"base has n={self.base.n}, lattice has n={self.n}")
-        cover = self.base.mask
+        if self.n < 0:
+            raise ValueError(f"atom count must be >= 0, got {self.n}")
+        cover, blocks = self.key
+        least = 0
         for b in blocks:
-            if b.n != self.n:
-                raise ContextMismatchError(f"block has n={b.n}, lattice has n={self.n}")
-            if b.mask == 0:
+            if b == 0:
                 raise ValueError("blocks must be nonempty")
-            if b.mask & cover:
+            if b & cover:
                 raise ValueError("blocks must be disjoint from the base and each other")
-            cover |= b.mask
+            if b & -b < least:
+                raise ValueError("blocks must be ordered by least atom")
+            least = b & -b
+            cover |= b
         if cover != _full_mask(self.n):
-            raise ValueError("base and blocks must cover every atom")
-        object.__setattr__(self, "key", (self.base.mask, tuple([b.mask for b in blocks])))
+            raise ValueError(f"base and blocks must cover exactly the atoms of B_{self.n}")
+
+    @property
+    def base(self) -> Element:
+        return Element(self.n, self.key[0])
+
+    @property
+    def blocks(self) -> tuple[Element, ...]:
+        return tuple(Element(self.n, b) for b in self.key[1])
 
     @property
     def w(self) -> int:
         """Number of atoms of the sublattice (= number of blocks)."""
-        return len(self.blocks)
+        return len(self.key[1])
 
     @cached_property
     def _element_masks(self) -> tuple[int, ...]:
-        masks = [self.base.mask]
-        for b in self.blocks:
-            masks += [m | b.mask for m in masks]
+        base, blocks = self.key
+        masks = [base]
+        for b in blocks:
+            masks += [m | b for m in masks]
         return tuple(sorted(masks))
 
     def sort_key(self) -> tuple:
-        return (self.base.mask, tuple(b.atoms for b in self.blocks))
+        base, blocks = self.key
+        return (base, tuple(tuple(_bits(b)) for b in blocks))
 
 
 def full_algebra(n: int) -> ImpLattice:
@@ -265,14 +266,10 @@ def _sub_masks(base1: int, blocks1: tuple[int, ...], base2: int, blocks2: tuple[
 
 @cache
 def _lattice(n: int, key: tuple[int, tuple[int, ...]]) -> ImpLattice:
-    """The lattice of a ``(base mask, block masks)`` key, validated and built
-    once per key: the intern table that every sublattice the program builds
-    comes from.  The key must be canonical, blocks sorted by least atom as
-    ``ImpLattice.key`` holds them; an equal lattice under another block
-    order would be built again under its own key.  Masks in any other order
-    go through :func:`_interned`."""
-    base, blocks = key
-    return ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in blocks))
+    """``ImpLattice(n, key)``, built once per key: the intern table every
+    sublattice the program builds comes from.  The constructor rejects a key
+    whose blocks are not sorted by least atom; see :func:`_interned`."""
+    return ImpLattice(n, key)
 
 
 def _interned(
@@ -288,7 +285,7 @@ def _interned(
     if images is not None:
         base = remap(base, images)
         blocks = [remap(b, images) for b in blocks]
-    return _lattice(n, (base, tuple(sorted(blocks, key=_least_atom))))
+    return _lattice(n, (base, tuple(sorted(blocks, key=lambda b: b & -b))))
 
 
 def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
@@ -356,25 +353,26 @@ def complement_closure(A: ImpLattice) -> ImpLattice:
     In canonical form the old base becomes one more block; fixed points are
     exactly the Boolean subalgebras (base = 0).
     """
-    if A.base.mask == 0:
+    base, blocks = A.key
+    if base == 0:
         return A
-    return _interned(A.n, 0, [b.mask for b in A.blocks] + [A.base.mask])
+    return _interned(A.n, 0, blocks + (base,))
 
 
 def up_closure(A: ImpLattice) -> ImpLattice:
     """Upward closure ``[min A, 1]``: base kept, blocks split to singletons."""
-    base = A.base.mask
+    base = A.key[0]
     return _lattice(A.n, (base, tuple(1 << i for i in range(A.n) if not base >> i & 1)))
 
 
 def is_boolean_subalgebra(A: ImpLattice) -> bool:
     """True iff A is closed under complement, i.e. its base is 0."""
-    return A.base.mask == 0
+    return A.key[0] == 0
 
 
 def is_ultrafilter(A: ImpLattice) -> bool:
     """True iff A = [c, 1] for an atom c (the principal ultrafilter at c)."""
-    return A.base.rank == 1 and all(b.rank == 1 for b in A.blocks)
+    return A.key[0].bit_count() == 1 and all(b.bit_count() == 1 for b in A.key[1])
 
 
 def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
@@ -387,24 +385,32 @@ def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
 # --- JSON interchange ------------------------------------------------------
 #
 # {"n": int, "base": [atoms ascending], "blocks": [[atoms ascending], ...]}
-# with blocks sorted by least element; round-trips bit-exactly, and
-# lattice_from_dict accepts nothing else.
+# with blocks sorted by least element and no key given twice; round-trips
+# bit-exactly, and lattice_from_dict accepts nothing else.
 
 
 def lattice_to_dict(A: ImpLattice) -> dict:
-    return {
-        "n": A.n,
-        "base": list(A.base.atoms),
-        "blocks": [list(b.atoms) for b in A.blocks],
-    }
+    base, blocks = A.key
+    return {"n": A.n, "base": list(_bits(base)), "blocks": [list(_bits(b)) for b in blocks]}
 
 
-def _atoms_from_list(n: int, atoms: object, what: str) -> Element:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for :func:`json.loads`: an object that gives a
+    key twice is a ValueError, not silently its last value."""
+    d = {}
+    for k, v in pairs:
+        if k in d:
+            raise ValueError(f"duplicate key {k!r} in JSON object")
+        d[k] = v
+    return d
+
+
+def _mask_from_list(n: int, atoms: object, what: str) -> int:
     if not isinstance(atoms, list) or any(type(a) is not int for a in atoms):
         raise ValueError(f"{what} must be a list of integer atoms, got {atoms!r}")
     if any(a >= b for a, b in zip(atoms, atoms[1:])):
         raise ValueError(f"{what} atoms must be strictly ascending, got {atoms!r}")
-    return Element.from_atoms(n, atoms)
+    return Element.from_atoms(n, atoms).mask
 
 
 def lattice_from_dict(d: Mapping) -> ImpLattice:
@@ -417,14 +423,8 @@ def lattice_from_dict(d: Mapping) -> ImpLattice:
     blocks = d["blocks"]
     if not isinstance(blocks, list):
         raise ValueError(f"blocks must be a list of atom lists, got {blocks!r}")
-    A = ImpLattice(
-        n,
-        _atoms_from_list(n, d["base"], "base"),
-        tuple(_atoms_from_list(n, blk, "block") for blk in blocks),
-    )
-    if [list(b.atoms) for b in A.blocks] != blocks:
-        raise ValueError(f"blocks must be ordered by least atom, got {blocks!r}")
-    return A
+    base = _mask_from_list(n, d["base"], "base")
+    return ImpLattice(n, (base, tuple(_mask_from_list(n, blk, "block") for blk in blocks)))
 
 
 def lattice_to_json(A: ImpLattice) -> str:
@@ -433,7 +433,7 @@ def lattice_to_json(A: ImpLattice) -> str:
 
 
 def lattice_from_json(text: str) -> ImpLattice:
-    return lattice_from_dict(json.loads(text))
+    return lattice_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .algebra import (
     lattice_to_json,
     top_only,
     verdict_to_dict,
+    _unique_keys,
 )
 from .formulas import (
     bell,
@@ -68,7 +69,7 @@ def _parse_lattice(text: str, what: str, override: bool) -> ImpLattice:
     """Parse an ImpLattice JSON argument, capping its raw ``n`` before any
     element is built: a huge n would allocate its masks first."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
         n = doc.get("n") if isinstance(doc, dict) else None
         if type(n) is int:  # any other n is lattice_from_dict's to reject
             _cap_check(n, POSET_CAP, f"{what} n", override)

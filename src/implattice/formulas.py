@@ -81,9 +81,9 @@ def partition_mobius(block_sizes: list[int]) -> int:
 
 
 def _product_formula(A: ImpLattice, sign_exponent: int) -> int:
-    value = (-1) ** sign_exponent * factorial(A.base.rank)
-    for b in A.blocks:
-        value *= factorial(b.rank - 1)
+    value = (-1) ** sign_exponent * factorial(A.key[0].bit_count())
+    for b in A.key[1]:
+        value *= factorial(b.bit_count() - 1)
     return value
 
 
@@ -100,7 +100,7 @@ def mobius_product_formula(A: ImpLattice) -> int:
 def mobius_product_formula_printed(A: ImpLattice) -> int:
     """The as-printed variant with sign exponent |a| + w(A) - n; kept so the
     erratum suite can pin the discrepancy (off by (-1)^|a|)."""
-    return _product_formula(A, A.base.rank + A.w - A.n)
+    return _product_formula(A, A.key[0].bit_count() + A.w - A.n)
 
 
 @dataclass(frozen=True)

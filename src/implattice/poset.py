@@ -30,7 +30,6 @@ from .algebra import (
     ImpLattice,
     Verdict,
     apply_atom_permutation,
-    complement,
     complement_closure,
     full_algebra,
     is_sub,
@@ -115,7 +114,7 @@ class IntervalPoset:
         block apart, so the members covered by j are its down-set restricted
         to the rank layer just below it.
         """
-        ranks = [len(A.blocks) for A in self.members]
+        ranks = [A.w for A in self.members]
         layer = [0] * (max(ranks, default=0) + 1)
         for i, w in enumerate(ranks):
             layer[w] |= 1 << i
@@ -146,7 +145,7 @@ def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tupl
 
 def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
     """Member indices by block count: a linear extension of the order."""
-    return sorted(range(len(members)), key=lambda i: len(members[i].blocks))
+    return sorted(range(len(members)), key=lambda i: members[i].w)
 
 
 def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
@@ -324,13 +323,13 @@ class ProductDecomposition:
 def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     """Split ``[A, B]`` into (subalgebras of [a,1] over A) x (all of [0,a])."""
     n = A.n
-    a = A.base.mask
+    a, blocks = A.key
     # relabel the atoms outside a, and those of a, onto 0, 1, ... in order
-    out_images = {x: 1 << i for i, x in enumerate(complement(A.base).atoms)}
-    in_images = {x: 1 << i for i, x in enumerate(A.base.atoms)}
+    out_images = {x: 1 << i for i, x in enumerate(c for c in range(n) if not a >> c & 1)}
+    in_images = {x: 1 << i for i, x in enumerate(_bits(a))}
     n1, n2 = len(out_images), len(in_images)
 
-    lower1 = _interned(n1, 0, [b.mask for b in A.blocks], out_images)
+    lower1 = _interned(n1, 0, blocks, out_images)
     p1 = interval(lower1, full_algebra(n1))
     p2 = interval(top_only(n2), full_algebra(n2))
     whole = interval(A, full_algebra(n))
@@ -338,10 +337,10 @@ def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     iso = []
     for C in whole.members:
         # A <= C forces every block of C inside or outside a
-        above = [b.mask for b in C.blocks if not b.mask & a]
-        below = [b.mask for b in C.blocks if b.mask & a]
+        above = [b for b in C.key[1] if not b & a]
+        below = [b for b in C.key[1] if b & a]
         d1 = _interned(n1, 0, above, out_images)
-        d2 = _interned(n2, C.base.mask, below, in_images)
+        d2 = _interned(n2, C.key[0], below, in_images)
         iso.append((p1.index_of(d1), p2.index_of(d2)))
     return ProductDecomposition(whole, p1, p2, tuple(iso))
 
@@ -386,7 +385,7 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Ver
     """
     n = A.n
     for c in (c1, c2):
-        if not 0 <= c < n or not A.base.mask >> c & 1:
+        if not 0 <= c < n or not A.key[0] >> c & 1:
             raise AtomNotBelowBaseError(f"atom {c} is not below the base of {lattice_to_json(A)}")
     sigma = list(range(n))
     sigma[c1], sigma[c2] = sigma[c2], sigma[c1]

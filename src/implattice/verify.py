@@ -154,7 +154,7 @@ def _claim_up_saturation(n: int) -> Iterator[bool]:
     top = full_algebra(n)
     for A in enumerate_all(n):
         saturates = up_closure(A) == top
-        yield saturates == (A.base.mask == 0) == is_boolean_subalgebra(A)
+        yield saturates == (A.key[0] == 0) == is_boolean_subalgebra(A)
 
 
 def _closure_theorem(closure: str, n: int) -> Iterator[bool]:
@@ -179,7 +179,7 @@ def _claim_product_formula_printed_sign(n: int) -> Iterator[bool]:
     for A in enumerate_all(n):
         printed = formulas.mobius_product_formula_printed(A)
         oracle = mobius_between(A, top)
-        yield (printed == oracle) == (A.base.rank % 2 == 0)
+        yield (printed == oracle) == (A.key[0].bit_count() % 2 == 0)
 
 
 def _claim_corrected_identity(n: int) -> tuple[int, int]:
@@ -296,7 +296,7 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
     """Swapping two atoms below the base maps the two atom-filter intervals
     onto each other order-isomorphically."""
     for A in enumerate_all(n):
-        atoms = A.base.atoms
+        atoms = tuple(_bits(A.key[0]))
         for i, c1 in enumerate(atoms):
             for c2 in atoms[i + 1 :]:
                 yield interval_isomorphism_via_permutation(A, c1, c2).passed
@@ -305,7 +305,7 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
 def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
     """Rewrite D <= C over the atoms of C (blocks indexed by least atom)."""
     # C has base 0, so D <= C makes D's base and blocks unions of C's blocks
-    images = {a: 1 << i for i, cb in enumerate(C.blocks) for a in cb.atoms}
+    images = {a: 1 << i for i, cb in enumerate(C.key[1]) for a in _bits(cb)}
     return _interned(C.w, *D.key, images)
 
 

@@ -30,6 +30,7 @@ from implattice.algebra import (
     principal_ultrafilter,
     top_only,
     up_closure,
+    _interned,
     _lattice,
 )
 
@@ -40,8 +41,12 @@ def el(n, *atoms):
     return Element.from_atoms(n, atoms)
 
 
+def mask(atoms):
+    return sum(1 << a for a in atoms)
+
+
 def lat(n, base, *blocks):
-    return ImpLattice(n, el(n, *base), tuple(el(n, *b) for b in blocks))
+    return ImpLattice(n, (mask(base), tuple(mask(b) for b in blocks)))
 
 
 # --- element operations -----------------------------------------------------
@@ -93,16 +98,24 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         lat(2, [0])  # atom 1 uncovered
     with pytest.raises(ValueError):
-        ImpLattice(2, el(2, 0), (el(2, 1), el(2)))  # empty block
-    with pytest.raises(ContextMismatchError):
-        ImpLattice(2, el(3, 0), (el(2, 1),))
+        ImpLattice(2, (0b01, (0b10, 0)))  # empty block
+    with pytest.raises(ValueError):
+        ImpLattice(2, (0b100, (0b01, 0b10)))  # base outside B_2
+    with pytest.raises(ValueError):
+        ImpLattice(2, (0b01, (0b110,)))  # block outside B_2
+    with pytest.raises(ValueError):
+        ImpLattice(-1, (0, ()))
 
 
 def test_blocks_canonical_order():
-    a = ImpLattice(3, el(3), (el(3, 2), el(3, 0, 1)))
-    b = ImpLattice(3, el(3), (el(3, 0, 1), el(3, 2)))
-    assert a == b
+    # _interned sorts the blocks by least atom; the constructor rejects any
+    # other order instead of sorting it
+    a = _interned(3, 0, [0b100, 0b011])
+    b = _interned(3, 0, [0b011, 0b100])
+    assert a is b is _lattice(3, (0, (0b011, 0b100)))
     assert [blk.atoms for blk in a.blocks] == [(0, 1), (2,)]
+    with pytest.raises(ValueError, match="ordered by least atom"):
+        ImpLattice(3, (0, (0b100, 0b011)))
 
 
 def test_key_is_the_identity():
@@ -111,16 +124,17 @@ def test_key_is_the_identity():
         for A in enumerate_all(n):
             assert A.key == (A.base.mask, tuple(b.mask for b in A.blocks))
     # == and hash agree with element-set equality on every pair, across n
-    # too, against copies built by the constructor with reversed blocks
+    # too, against distinct copies built by the constructor
     lattices = [A for n in range(4) for A in enumerate_all(n)]
     for A in lattices:
         for B in lattices:
-            copy = ImpLattice(B.n, B.base, B.blocks[::-1])
+            copy = ImpLattice(B.n, B.key)
+            assert copy is not B
             assert (A == copy) == (elements(A) == elements(B)), (A, B)
             if A == copy:
                 assert hash(A) == hash(copy)
-    # blocks given out of order: equal to the interned lattice of the key
-    A = ImpLattice(4, el(4, 1), (el(4, 3), el(4, 0, 2)))
+    # blocks given out of order: interned as the lattice of the sorted key
+    A = _interned(4, 0b0010, [0b1000, 0b0101])
     key = (0b0010, (0b0101, 0b1000))
     assert A.key == key
     assert A == _lattice(4, key) and hash(A) == hash(_lattice(4, key))
@@ -189,13 +203,18 @@ def test_intern_table_returns_one_object_per_key():
 
 @pytest.mark.parametrize(
     "n, key",
-    [(2, (0b01, (0b11,))), (3, (0b001, (0b110, 0b100))), (2, (0b01, ())), (3, (0, (0b011,)))],
-    ids=["block-overlaps-base", "blocks-overlap", "atom-uncovered", "atoms-uncovered"],
+    [
+        (2, (0b01, (0b11,))),
+        (3, (0b001, (0b110, 0b100))),
+        (2, (0b01, ())),
+        (3, (0, (0b011,))),
+        (3, (0, (0b100, 0b011))),
+    ],
+    ids=["block-overlaps-base", "blocks-overlap", "atom-uncovered", "atoms-uncovered", "blocks-out-of-order"],
 )
 def test_intern_table_validates_like_the_constructor(n, key):
-    base, blocks = key
     with pytest.raises(ValueError) as want:
-        ImpLattice(n, Element(n, base), tuple(Element(n, b) for b in blocks))
+        ImpLattice(n, key)
     size = _lattice.cache_info().currsize
     with pytest.raises(ValueError) as got:
         _lattice(n, key)
@@ -206,10 +225,12 @@ def test_intern_table_validates_like_the_constructor(n, key):
 def test_closures_match_their_direct_construction():
     for n in range(5):
         for A in enumerate_all(n):
-            singletons = tuple(Element(n, 1 << i) for i in range(n) if not A.base.mask >> i & 1)
-            assert up_closure(A) == ImpLattice(n, A.base, singletons)
-            if A.base.mask:
-                want = ImpLattice(n, Element.bottom(n), A.blocks + (A.base,))
+            base, blocks = A.key
+            singletons = tuple(1 << i for i in range(n) if not base >> i & 1)
+            assert up_closure(A) == ImpLattice(n, (base, singletons))
+            if base:
+                merged = sorted(blocks + (base,), key=lambda b: b & -b)
+                want = ImpLattice(n, (0, tuple(merged)))
             else:
                 want = A
             assert complement_closure(A) == want
@@ -374,6 +395,10 @@ def test_json_rejects_garbage():
         lattice_from_json('{"n":"2","base":[],"blocks":[[0],[1]]}')
     with pytest.raises(ValueError):
         lattice_from_json(json.dumps({"n": 2, "base": [0], "blocks": [[0]]}))
+    with pytest.raises(ValueError, match="duplicate key 'n'"):
+        lattice_from_json('{"n":2,"n":2,"base":[0],"blocks":[[1]]}')
+    with pytest.raises(ValueError, match="ordered by least atom"):
+        lattice_from_json('{"n":3,"base":[],"blocks":[[2],[0,1]]}')
 
 
 # --- verdict plumbing ------------------------------------------------------------

@@ -115,6 +115,7 @@ def test_mobius_bad_json(capsys):
         '{"n":3,"base":[],"blocks":[[2],[1,0]]}',
         '{"n":3,"base":[],"blocks":[[2],[0,1]]}',
         '{"n":2,"base":[0],"blocks":[[1]],"extra":0}',
+        '{"n":2,"n":2,"base":[0],"blocks":[[1]]}',
     ],
 )
 def test_mistyped_lattice_fields_are_usage_errors(capsys, lower):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implattice import formulas
-from implattice.algebra import Element, ImpLattice, enumerate_all, full_algebra, top_only
+from implattice.algebra import ImpLattice, enumerate_all, full_algebra, top_only
 from implattice.algebra import _set_partitions
 from implattice.formulas import (
     bell,
@@ -33,12 +33,12 @@ from implattice.formulas import (
 from implattice.poset import mobius_between
 
 
+def mask(atoms):
+    return sum(1 << a for a in atoms)
+
+
 def lat(n, base, *blocks):
-    return ImpLattice(
-        n,
-        Element.from_atoms(n, base),
-        tuple(Element.from_atoms(n, b) for b in blocks),
-    )
+    return ImpLattice(n, (mask(base), tuple(mask(b) for b in blocks)))
 
 
 def stirling_product(chain):

@@ -9,7 +9,6 @@ import threading
 import pytest
 
 from implattice.algebra import (
-    Element,
     ImpLattice,
     apply_atom_permutation,
     elements,
@@ -53,12 +52,12 @@ from implattice.poset import (
 from implattice.verify import _contract
 
 
-def el(n, *atoms):
-    return Element.from_atoms(n, atoms)
+def mask(atoms):
+    return sum(1 << a for a in atoms)
 
 
 def lat(n, base, *blocks):
-    return ImpLattice(n, el(n, *base), tuple(el(n, *b) for b in blocks))
+    return ImpLattice(n, (mask(base), tuple(mask(b) for b in blocks)))
 
 
 # --- interval construction ----------------------------------------------------
@@ -243,9 +242,10 @@ def contract_onto(A, C):
         out = 0
         for a in x.atoms:
             out |= image[a]
-        return Element(C.w, out)
+        return out
 
-    return ImpLattice(C.w, relabel(A.base), tuple(relabel(b) for b in A.blocks))
+    blocks = sorted((relabel(b) for b in A.blocks), key=lambda b: b & -b)
+    return ImpLattice(C.w, (relabel(A.base), tuple(blocks)))
 
 
 def test_product_formula_on_every_interval():

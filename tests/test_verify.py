@@ -1,6 +1,8 @@
 import pytest
 
 from implattice import formulas
+from implattice.algebra import Element, full_algebra, lattice_to_json, top_only
+from implattice.poset import interval, interval_to_dot, interval_to_json
 from implattice.verify import CLAIMS, SUITES, run_claims, run_suite, summarize
 
 
@@ -70,3 +72,31 @@ def test_failing_sweep_counts_every_case(monkeypatch):
     ]
     assert all(v.params["cases"] == v.lhs for v in verdicts)
     assert [v.passed for v in verdicts] == [True, False, False, False]
+
+
+def test_library_paths_build_no_elements(cold_caches, monkeypatch):
+    # a lattice stores masks only, and its Element views are for callers:
+    # every claim but the two brute-force ones (which check element sets on
+    # purpose) and the exports run on cold caches without building one
+    built = []
+    post_init = Element.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Element, "__post_init__", counting)
+    brute = {"closure.complement.subalgebra", "core.closed_set_roundtrip"}
+    verdicts = run_claims([c.id for c in CLAIMS if c.id not in brute], 4)
+    assert verdicts and all(v.passed for v in verdicts)
+    assert built == []
+
+    cold_caches()
+    poset = interval(top_only(4), full_algebra(4))
+    interval_to_json(poset)
+    interval_to_dot(poset)
+    for A in poset.members:
+        lattice_to_json(A)
+    assert built == []
+    Element(4, 0)
+    assert len(built) == 1  # the counter sees a construction
