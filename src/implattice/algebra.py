@@ -442,22 +442,17 @@ class Verdict:
 
     ``lhs`` and ``rhs`` are the two exact quantities being compared; for a
     sweep over many cases they are (cases checked, cases conforming).  The
-    invariant ``passed == (lhs == rhs)`` always holds.
+    check passes when they are equal.
     """
 
     claim: str
     params: Mapping[str, int]
     lhs: int
     rhs: int
-    passed: bool
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.lhs == self.rhs):
-            raise ValueError("verdict pass flag must equal (lhs == rhs)")
-
-
-def make_verdict(claim: str, params: Mapping[str, int], lhs: int, rhs: int) -> Verdict:
-    return Verdict(claim, dict(params), lhs, rhs, lhs == rhs)
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def verdict_to_dict(v: Verdict) -> dict:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .algebra import ImpLattice, Verdict, full_algebra, make_verdict
+from .algebra import ImpLattice, Verdict, full_algebra
 from .algebra import _lattice, _set_partitions
 from .poset import mobius_between
 
@@ -249,4 +249,4 @@ def rank_one_chain_identity(n: int) -> Verdict:
         raise ValueError(f"identity needs n >= 1, got {n}")
     lhs = (-1) ** (n - 1) * factorial(n - 1)
     rhs = mu_rank_sum_chain(1, n).value
-    return make_verdict("rank-one-chain-vs-signed-factorial", {"n": n}, lhs, rhs)
+    return Verdict("rank-one-chain-vs-signed-factorial", {"n": n}, lhs, rhs)

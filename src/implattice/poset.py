@@ -1,22 +1,20 @@
 """Explicit intervals in the sublattice order and their Mobius functions.
 
-Intervals are materialized eagerly, the Mobius function is computed by the
-defining recursion, and the structural facts used by the closed forms -- the
-closure identity, the base/quotient product factorization, and the relabeling
-isomorphisms -- are checked here against that oracle.
+An interval's members are materialized eagerly and its order on first use,
+the Mobius function is computed by the defining recursion, and the structural
+facts used by the closed forms -- the closure identity, the base/quotient
+product factorization, and the relabeling isomorphisms -- are checked here
+against that oracle.
 
 The order is graded by block count, and every cover D < C is one move on C:
 merge two of its blocks, or absorb one block into its base (the partition
-lattice cover plus a base move).  The same moves give both the members and
-the order.  The members of an interval are walked down from its upper end,
-keeping the candidates above its lower end.  The order on a member set is
-built from covers, not by comparing element sets: each member looks up its
-one-move lower neighbours among the members, and its down-set is the union
-of theirs, filled in block-count order.  The down-sets are the one stored
-relation; ``leq`` reads them.  This needs every cover of the member set to
-be a single move, which holds for an interval (a convex set) and, for the
-order build, for the closed suborders: Boolean subalgebras step by merges,
-principal filters by absorbing a singleton block.
+lattice cover plus a base move).  The same moves give the members, the order
+and the Hasse edges.  The members of an interval are walked down from its
+upper end, keeping the candidates above its lower end.  A poset stores only
+its members and the indices of its ends; its order and Hasse edges are
+derived on first use from one primitive, :func:`_covered`, the members one
+move below a member, never by comparing element sets.  :class:`IntervalPoset`
+states when those moves are all of the member set's covers.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .algebra import (
     is_sub,
     lattice_to_dict,
     lattice_to_json,
-    make_verdict,
     principal_ultrafilter,
     remap,
     top_only,
@@ -69,19 +66,19 @@ CLOSURES = {
 class IntervalPoset:
     """A finite bounded subposet of the sublattice order.
 
-    ``down[i]`` is a bitmask over member indices giving the members below
-    member i (reflexively), the one stored relation; it agrees with
-    ``is_sub``.  For :func:`interval` the members are exactly
-    ``{D : lower <= D <= upper}`` in canonical order; :func:`closed_suborder`
-    restricts them to closure fixed points.  Both are built by
-    :func:`_build_poset` from one-move covers, so every cover of the member
-    set must be one merge of two blocks or one absorb of a block into the
-    base.  The Mobius table and the Hasse edges are computed once per poset
-    and cached on it.
+    Stored: the members, in canonical order, and the indices of the lower and
+    upper ends.  For :func:`interval` the members are exactly
+    ``{D : lower <= D <= upper}``; :func:`closed_suborder` restricts them to
+    closure fixed points.  Derived on first use and cached on the poset: the
+    order ``down``, the Hasse edges ``covers`` and the Mobius table.  The
+    first two read each member's covers off :func:`_covered`, so every cover
+    of the member set must be one merge of two blocks or one absorb of a
+    block into the base.  That holds for an interval, which is convex, and
+    for the closed suborders: Boolean subalgebras step by merges, principal
+    filters by absorbing a singleton block.
     """
 
     members: tuple[ImpLattice, ...]
-    down: tuple[int, ...]
     lower_index: int
     upper_index: int
 
@@ -107,23 +104,26 @@ class IntervalPoset:
         return self._index[A]
 
     @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (i, j) with member i covered by member j, sorted.
+    def down(self) -> tuple[int, ...]:
+        """``down[j]`` is a bitmask over member indices giving the members
+        below member j (reflexively); it agrees with ``is_sub``.  A down-set
+        is the union of those of the members it covers, so they are filled
+        in block-count order."""
+        members = self.members
+        index = {A.key: i for i, A in enumerate(members)}
+        down = [0] * len(members)
+        for j in _by_rank(members):
+            mask = 1 << j
+            for i in _covered(index, members[j].key):
+                mask |= down[i]
+            down[j] = mask
+        return tuple(down)
 
-        Covers step one block, and nothing lies strictly between members one
-        block apart, so the members covered by j are its down-set restricted
-        to the rank layer just below it.
-        """
-        ranks = [A.w for A in self.members]
-        layer = [0] * (max(ranks, default=0) + 1)
-        for i, w in enumerate(ranks):
-            layer[w] |= 1 << i
-        edges = [
-            (i, j)
-            for j, w in enumerate(ranks)
-            if w
-            for i in _bits(self.down[j] & layer[w - 1])
-        ]
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Hasse edges (i, j) with member i covered by member j, sorted."""
+        index = {A.key: i for i, A in enumerate(self.members)}
+        edges = [(i, j) for j, C in enumerate(self.members) for i in _covered(index, C.key)]
         edges.sort()
         return tuple(edges)
 
@@ -143,24 +143,15 @@ def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tupl
             yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
 
 
+def _covered(index: dict[tuple, int], C: tuple[int, tuple[int, ...]]) -> list[int]:
+    """The members one move below the mask key C, that is the members C
+    covers, as their indices under ``index`` (mask key -> member index)."""
+    return [i for key in _lower_moves(*C) if (i := index.get(key)) is not None]
+
+
 def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
     """Member indices by block count: a linear extension of the order."""
     return sorted(range(len(members)), key=lambda i: members[i].w)
-
-
-def _build_poset(members: tuple[ImpLattice, ...], lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
-    """Order a member set through its one-move covers (see the module
-    docstring for when that is the whole order)."""
-    index = {A.key: i for i, A in enumerate(members)}
-    down = [0] * len(members)
-    for j in _by_rank(members):  # lower neighbours have fewer blocks: done first
-        mask = 1 << j
-        for key in _lower_moves(*members[j].key):
-            i = index.get(key)
-            if i is not None:
-                mask |= down[i]
-        down[j] = mask
-    return IntervalPoset(members, tuple(down), index[lower.key], index[upper.key])
 
 
 @cache
@@ -187,8 +178,8 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
                 seen.add(key)
                 if _sub_masks(*low, *key):
                     kept.append(key)
-    members = [_lattice(n, key) for key in kept]
-    return _build_poset(tuple(sorted(members, key=ImpLattice.sort_key)), lower, upper)
+    members = tuple(sorted((_lattice(n, key) for key in kept), key=ImpLattice.sort_key))
+    return IntervalPoset(members, members.index(lower), members.index(upper))
 
 
 @dataclass(frozen=True)
@@ -251,14 +242,13 @@ def _closure(name: str) -> Callable[[ImpLattice], ImpLattice]:
     return cl
 
 
-@cache
 def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """The fixed points of a closure operator between two closed bounds."""
     cl = _closure(closure)
     if cl(lower) != lower or cl(upper) != upper:
         raise NotClosedEndpointError("closed-suborder endpoints must be closure fixed points")
     members = tuple(D for D in interval(lower, upper).members if cl(D) == D)
-    return _build_poset(members, lower, upper)
+    return IntervalPoset(members, members.index(lower), members.index(upper))
 
 
 @cache
@@ -298,7 +288,7 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice, n: int) ->
     c = cl(z)
     lhs = sums.get(c, 0)
     rhs = 0 if closed is None else closed[c]
-    return make_verdict(f"mobius-closure-identity[{closure}]", {"n": n}, lhs, rhs)
+    return Verdict(f"mobius-closure-identity[{closure}]", {"n": n}, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -395,7 +385,7 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> Ver
 
     passed = int(set(image) == set(dst.members) and len(src) == len(dst))
     passed += _agreeing_pairs(src, _containment(image))
-    return make_verdict(
+    return Verdict(
         "atom-swap-interval-isomorphism",
         {"n": n, "c1": c1, "c2": c2},
         1 + len(src) ** 2,

@@ -31,7 +31,6 @@ from .algebra import (
     is_sub,
     is_ultrafilter,
     join,
-    make_verdict,
     meet,
     top_only,
     up_closure,
@@ -71,12 +70,12 @@ class Claim:
     def run(self, n: int) -> Verdict:
         result = self.check(n)
         if isinstance(result, tuple):
-            return make_verdict(self.id, {"n": n}, *result)
+            return Verdict(self.id, {"n": n}, *result)
         checked = passed = 0
         for ok in result:
             checked += 1
             passed += bool(ok)
-        return make_verdict(self.id, {"n": n, "cases": checked}, checked, passed)
+        return Verdict(self.id, {"n": n, "cases": checked}, checked, passed)
 
 
 def _brute_element_ops_closed(A: ImpLattice) -> bool:

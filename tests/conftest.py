@@ -53,7 +53,7 @@ def brute_chains(n, k):
 
 def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
-    hold the posets, and so their cached Mobius tables and covers, the
+    hold the posets, and so their cached orders, Mobius tables and covers, the
     product decompositions and the interned lattices) and the Stirling and
     composition row tables, trimmed back to row 0."""
     from implattice import algebra, formulas, poset
@@ -62,7 +62,6 @@ def clear_caches():
         algebra._enumerate_cached,
         algebra._lattice,
         poset.interval,
-        poset.closed_suborder,
         poset._closure_row,
         poset.product_decomposition,
         formulas._rank_chain_value,

@@ -405,11 +405,12 @@ def test_json_rejects_garbage():
 
 
 def test_verdict_invariant():
-    Verdict("x", {}, 1, 1, True)
-    with pytest.raises(ValueError):
+    assert Verdict("x", {}, 1, 1).passed
+    assert not Verdict("x", {}, 1, 2).passed
+    assert Verdict("x", {}, 10**30, 10**30).passed
+    # the pass flag is derived, so no verdict can contradict its own sides
+    with pytest.raises(TypeError):
         Verdict("x", {}, 1, 2, True)
-    with pytest.raises(ValueError):
-        Verdict("x", {}, 1, 1, False)
 
 
 # --- n = 0 edge cases -------------------------------------------------------------

@@ -167,6 +167,21 @@ def test_graded_order_matches_containment_every_interval():
                     assert_matches_containment(interval(lower, upper), lower, upper)
 
 
+def rank_layer_covers(P):
+    """The Hasse edges by the rank-layer walk: each down-set masked to the
+    rank layer just below its member.  Covers step one block and nothing
+    lies strictly between members one block apart; the reference for the
+    covers read off the one-move neighbours where the pairwise one is too
+    slow."""
+    ranks = [A.w for A in P.members]
+    layer = [0] * (max(ranks, default=0) + 1)
+    for i, w in enumerate(ranks):
+        layer[w] |= 1 << i
+    edges = [(i, j) for j, w in enumerate(ranks) if w for i in _bits(P.down[j] & layer[w - 1])]
+    edges.sort()
+    return tuple(edges)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_whole_order_matches_is_sub_beyond_n4(n):
     # [{1}, B_n] holds every sublattice, so this is every pair at n
@@ -175,6 +190,20 @@ def test_whole_order_matches_is_sub_beyond_n4(n):
         sum(1 << i for i, D in enumerate(P.members) if is_sub(D, C)) for C in P.members
     )
     assert P.down == want
+    assert P.covers == rank_layer_covers(P)
+
+
+def test_exports_build_no_order(cold_caches):
+    # a poset stores its members and ends; the order is derived on first use,
+    # and the JSON and DOT exports read the members and Hasse edges only
+    fields = [f.name for f in dataclasses.fields(poset.IntervalPoset)]
+    assert fields == ["members", "lower_index", "upper_index"]
+    P = interval(top_only(4), full_algebra(4))
+    interval_to_json(P)
+    interval_to_dot(P)
+    assert "covers" in vars(P) and "down" not in vars(P)
+    assert mobius_oracle(P).mu_top == 24
+    assert "down" in vars(P)
 
 
 @pytest.mark.parametrize("closure", sorted(CLOSURES))
@@ -362,10 +391,17 @@ def test_closure_rows_match_the_direct_sums(cold_caches):
                             assert (v.lhs, v.rhs) == want, (closure, yy, zz)
 
 
-def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches):
+def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches, monkeypatch):
     # every pair of both closures at n = 5 reads one row per (closure, y)
-    # and one closed suborder per closed y: the Boolean subalgebras (Bell(5))
-    # and the principal filters (2^5)
+    # and builds one closed suborder per closed y: the Boolean subalgebras
+    # (Bell(5)) and the principal filters (2^5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return closed_suborder(*args)
+
+    monkeypatch.setattr(poset, "closed_suborder", counted)
     n = 5
     top = full_algebra(n)
     for closure in sorted(CLOSURES):
@@ -373,7 +409,7 @@ def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches):
             for z in interval(y, top).members:
                 assert closure_theorem_check(closure, y, z, n).passed
     assert _closure_row.cache_info().currsize == 2 * bell(n + 1)
-    assert closed_suborder.cache_info().currsize == bell(n) + 2**n
+    assert len(calls) == bell(n) + 2**n
 
 
 def test_closure_theorem_errors():

@@ -2,8 +2,10 @@
 
 ``perfbench/tracer.py`` wraps public functions by identity and replaces the
 ``IntervalPoset.covers`` cached property; a refactor that renames, inlines or
-re-wraps them would blind the trace without failing any run.  This runs two
-tiny traced workloads through ``perfbench/inproc.py`` as subprocesses.
+re-wraps them, or moves work out of the calls they wrap, would blind the trace
+without failing any run.  This runs the benchmark's tiny traced workloads
+through ``perfbench/inproc.py`` as subprocesses and requires every per-layer
+metric that ``BENCHMARK.json`` declares to read nonzero.
 """
 
 import json
@@ -32,12 +34,25 @@ def traced_run(workload, index):
     return json.loads(proc.stdout)
 
 
+def layer_value(stats, name):
+    """``<span>.<stat>`` in merged span statistics, as ``perfbench/run.py``
+    reads a per-layer metric; 0 when the span or stat is missing."""
+    span, _, stat = name.rpartition(".")
+    return stats.get(span, {}).get(stat, 0)
+
+
 def test_tracer_sees_every_poset_layer():
-    calls = {}
-    for workload, index in [("verify-n3", 0), ("interval-n4", 1)]:
+    stats = {}
+    for workload, index in [("verify-n3", 0), ("interval-n4", 0), ("interval-n4", 1), ("table-n10", 0)]:
         result = traced_run(workload, index)
         assert result["problems"] == [], (workload, result["problems"])
-        for name, stat in result["stats"].items():
-            calls[name] = calls.get(name, 0) + stat["calls"]
-    for name in ("poset.interval", "poset.mobius_oracle", "poset.closed_suborder", "poset.covers"):
-        assert calls.get(name, 0) >= 1, f"{name} recorded no call"
+        for span, entry in result["stats"].items():
+            merged = stats.setdefault(span, {})
+            for stat, value in entry.items():
+                merged[stat] = merged.get(stat, 0) + value
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # the trace.* metrics compare traced with untraced runs, which run.py times
+    names = [m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")]
+    assert "poset.covers.edges" in names and "poset.interval.calls" in names
+    unreached = [name for name in names if not layer_value(stats, name)]
+    assert unreached == [], f"per-layer metrics the tiny traced runs never reach: {unreached}"
