@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of each deterministic output that refactors keep
+byte-identical, one ``sha256  command`` line per output.
+
+Run it in two checkouts and diff the two listings to see whether a change
+altered any of them:
+
+    python scripts/output_digests.py > after.txt
+
+Each output comes from a fresh subprocess running the checkout's own
+``src``.  The script takes no options.
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# argument lists for ``python -m implattice``
+CLI_COMMANDS = (
+    ("verify", "--suite", "all", "--n-max", "5", "--format", "json"),
+    ("verify", "--suite", "all", "--n-max", "6", "--format", "json"),
+    ("mobius", "--n", "7", "--format", "json"),
+    ("mobius", "--n", "8", "--format", "json"),
+    ("export", "--n", "7", "--format", "json"),
+    ("export", "--n", "8", "--format", "json"),
+    ("export", "--n", "4", "--format", "dot"),
+    ("table", "--n-max", "100"),
+    ("table", "--n-max", "100", "--format", "json"),
+)
+
+SCRIPT_COMMANDS = (("scripts/erratum_report.py", "10"),)
+
+
+def digest(argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=True)
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def main() -> None:
+    for args in CLI_COMMANDS:
+        print(f"{digest([sys.executable, '-m', 'implattice', *args])}  implattice {' '.join(args)}")
+    for script, *args in SCRIPT_COMMANDS:
+        print(f"{digest([sys.executable, script, *args])}  {' '.join([script, *args])}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        raise SystemExit(f"usage: {sys.argv[0]} (takes no options)")
+    main()

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .algebra import ImpLattice, Verdict, full_algebra
+from .algebra import ImpLattice, full_algebra
 from .algebra import _lattice, _set_partitions
 from .poset import mobius_between
 
@@ -243,10 +243,12 @@ def mu_rank_sum_composition_printed(k: int, n: int) -> int:
     return _composition_sum(k, n, 1)
 
 
-def rank_one_chain_identity(n: int) -> Verdict:
-    """Compare (-1)^(n-1) (n-1)! with the rank-1 chain sum."""
+def rank_one_chain_identity(n: int) -> tuple[int, int]:
+    """Rank-1 chain sum equals (-1)^(n-1) (n-1)!.
+
+    Returns the two sides ``((-1)^(n-1) (n-1)!, rank-1 chain sum)``; the
+    identity holds when they are equal.
+    """
     if n < 1:
         raise ValueError(f"identity needs n >= 1, got {n}")
-    lhs = (-1) ** (n - 1) * factorial(n - 1)
-    rhs = mu_rank_sum_chain(1, n).value
-    return Verdict("rank-one-chain-vs-signed-factorial", {"n": n}, lhs, rhs)
+    return (-1) ** (n - 1) * factorial(n - 1), mu_rank_sum_chain(1, n).value

@@ -4,10 +4,14 @@ A claim's check is a plain function of the atom count n.  A sweep check is a
 generator that yields one boolean per case; an identity check returns the
 pair ``(lhs, rhs)`` of its two sides.  :meth:`Claim.run` turns either into the
 claim's single Verdict at that n: a sweep reports (cases checked, cases
-conforming), an identity its two sides.  Claims are grouped into named suites
-for the CLI; they are independent of each other and deterministic, so any
-subset can run in any order (the runner keeps registry order for stable
-output).
+conforming), an identity its two sides.  This is the only place a Verdict is
+built: the library checks in ``poset`` and ``formulas`` return their plain
+``(lhs, rhs)`` pair, which a sweep compares per case and an identity claim
+returns as it is.
+
+Claims are grouped into named suites for the CLI; they are independent of
+each other and deterministic, so any subset can run in any order (the runner
+keeps registry order for stable output).
 """
 
 from __future__ import annotations
@@ -161,7 +165,8 @@ def _closure_theorem(closure: str, n: int) -> Iterator[bool]:
     top = full_algebra(n)
     for y in enumerate_all(n):
         for z in interval(y, top).members:
-            yield closure_theorem_check(closure, y, z, n).passed
+            lhs, rhs = closure_theorem_check(closure, y, z)
+            yield lhs == rhs
 
 
 def _claim_product_formula_vs_oracle(n: int) -> Iterator[bool]:
@@ -239,12 +244,6 @@ def _claim_partition_sum_agreement(n: int) -> Iterator[bool]:
         yield total == formulas.mu_rank_sum_oracle(k, n)
 
 
-def _claim_rank_one_closed_form(n: int) -> tuple[int, int]:
-    """Rank-1 chain sum equals (-1)^(n-1) (n-1)!."""
-    inner = formulas.rank_one_chain_identity(n)
-    return inner.lhs, inner.rhs
-
-
 def _claim_composition_printed(n: int) -> Iterator[bool]:
     """The as-printed composition form overshoots the oracle by k! for every
     k >= 2 (pinned at (k,n) = (2,2) and (2,3)) and matches only at k = 1."""
@@ -298,7 +297,8 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
         atoms = tuple(_bits(A.key[0]))
         for i, c1 in enumerate(atoms):
             for c2 in atoms[i + 1 :]:
-                yield interval_isomorphism_via_permutation(A, c1, c2).passed
+                checked, passed = interval_isomorphism_via_permutation(A, c1, c2)
+                yield checked == passed
 
 
 def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
@@ -346,7 +346,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("pkb.chain_vs_oracle", "pkb", 1, None, _claim_rank_chain_vs_oracle),
     Claim("pkb.chain_vs_composition", "pkb", 1, None, _claim_rank_chain_vs_composition),
     Claim("pkb.partition_sum_agreement", "pkb", 1, None, _claim_partition_sum_agreement),
-    Claim("pkb.rank_one_closed_form", "pkb", 1, None, _claim_rank_one_closed_form),
+    Claim("pkb.rank_one_closed_form", "pkb", 1, None, formulas.rank_one_chain_identity),
     Claim("pkb.printed_composition_erratum", "pkb", 2, None, _claim_composition_printed),
     Claim("core.enumeration_count", "lemmas", 0, None, _claim_enumeration_count),
     Claim("core.closed_set_roundtrip", "lemmas", 0, 3, _claim_closed_set_roundtrip),

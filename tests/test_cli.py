@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
@@ -418,6 +419,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "count=2 bell=2 ok"
+
+
+def test_output_digest_commands_parse():
+    # scripts/output_digests.py runs these in subprocesses; a command the
+    # parser rejects would only show there as a usage error
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digests", root / "scripts" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    parser = cli.build_parser()
+    assert digests.CLI_COMMANDS
+    for argv in digests.CLI_COMMANDS:
+        parser.parse_args(list(argv))
+    for script, *_ in digests.SCRIPT_COMMANDS:
+        assert (root / script).is_file()
 
 
 # --- operation coverage ------------------------------------------------------------

@@ -397,11 +397,10 @@ def test_erratum_report_matches_golden():
 
 def test_rank_one_identity():
     for n in range(1, 13):
-        verdict = rank_one_chain_identity(n)
-        assert verdict.passed
-        assert verdict.lhs == (-1) ** (n - 1) * math.factorial(n - 1)
-    v4 = rank_one_chain_identity(4)
-    assert (v4.lhs, v4.rhs) == (-6, -6)
+        lhs, rhs = rank_one_chain_identity(n)
+        assert lhs == rhs
+        assert lhs == (-1) ** (n - 1) * math.factorial(n - 1)
+    assert rank_one_chain_identity(4) == (-6, -6)
     with pytest.raises(ValueError):
         rank_one_chain_identity(0)
 

@@ -1,6 +1,7 @@
 """Module hygiene of the library: every name a module imports is used in
-that module, only ``algebra`` constructs ``ImpLattice`` objects, and the test
-helper that empties the memos knows every memo.
+that module, only ``algebra`` constructs ``ImpLattice`` objects, only
+``verify`` constructs ``Verdict`` objects, and the test helper that empties
+the memos knows every memo.
 
 ``__init__.py`` is skipped: it imports names to re-export them.
 """
@@ -70,6 +71,14 @@ def test_checker_sees_a_constructor_call():
 def test_only_algebra_constructs_lattices(path):
     # every other module gets its lattices from algebra's intern table
     assert constructor_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE.glob("*.py") if p.name != "verify.py"], ids=lambda p: p.name
+)
+def test_only_the_claim_registry_builds_verdicts(path):
+    # library checks return their (lhs, rhs) pair; Claim.run makes the Verdict
+    assert constructor_calls(path.read_text(encoding="utf-8"), "Verdict") == []
 
 
 def memoized_functions():

@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from implattice.algebra import (
+    ContextMismatchError,
     ImpLattice,
     apply_atom_permutation,
     elements,
@@ -336,13 +337,10 @@ def test_value_class_fold_matches_the_per_bit_fold():
 
 def test_closure_theorem_examples():
     one, top = top_only(2), full_algebra(2)
-    v = closure_theorem_check("complement", one, top, 2)
-    assert (v.lhs, v.rhs, v.passed) == (0, 0, True)
-    v = closure_theorem_check("up", one, top, 2)
-    assert (v.lhs, v.rhs, v.passed) == (1, 1, True)
+    assert closure_theorem_check("complement", one, top) == (0, 0)
+    assert closure_theorem_check("up", one, top) == (1, 1)
     sub = lat(2, [], [0, 1])
-    v = closure_theorem_check("complement", sub, sub, 2)
-    assert (v.lhs, v.rhs, v.passed) == (1, 1, True)
+    assert closure_theorem_check("complement", sub, sub) == (1, 1)
 
 
 @pytest.mark.parametrize("closure", ["complement", "up"])
@@ -352,7 +350,8 @@ def test_closure_theorem_all_pairs(closure):
         for y in lattices:
             for z in lattices:
                 if is_sub(y, z):
-                    assert closure_theorem_check(closure, y, z, n).passed
+                    lhs, rhs = closure_theorem_check(closure, y, z)
+                    assert lhs == rhs
 
 
 def closure_theorem_reference(closure, y, z, n):
@@ -387,8 +386,8 @@ def test_closure_rows_match_the_direct_sums(cold_caches):
                     for closure in sorted(CLOSURES):
                         want = closure_theorem_reference(closure, y, z, n)
                         for yy, zz in pairs:
-                            v = closure_theorem_check(closure, yy, zz, n)
-                            assert (v.lhs, v.rhs) == want, (closure, yy, zz)
+                            got = closure_theorem_check(closure, yy, zz)
+                            assert got == want, (closure, yy, zz)
 
 
 def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches, monkeypatch):
@@ -407,7 +406,8 @@ def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches, monk
     for closure in sorted(CLOSURES):
         for y in enumerate_all(n):
             for z in interval(y, top).members:
-                assert closure_theorem_check(closure, y, z, n).passed
+                lhs, rhs = closure_theorem_check(closure, y, z)
+                assert lhs == rhs
     assert _closure_row.cache_info().currsize == 2 * bell(n + 1)
     assert len(calls) == bell(n) + 2**n
 
@@ -415,9 +415,26 @@ def test_closure_rows_are_built_once_per_closure_and_lower_end(cold_caches, monk
 def test_closure_theorem_errors():
     one, top = top_only(2), full_algebra(2)
     with pytest.raises(NotComparableError):
-        closure_theorem_check("up", top, lat(2, [0], [1]), 2)
+        closure_theorem_check("up", top, lat(2, [0], [1]))
     with pytest.raises(ValueError):
-        closure_theorem_check("sideways", one, top, 2)
+        closure_theorem_check("sideways", one, top)
+    # the context comes from y, so a z over another atom count is refused
+    with pytest.raises(ContextMismatchError):
+        closure_theorem_check("up", one, full_algebra(3))
+    with pytest.raises(ContextMismatchError):
+        closure_theorem_check("complement", top_only(3), top)
+
+
+def test_closure_theorem_returns_its_right_side(cold_caches, monkeypatch):
+    # the two sides agree on every real pair, so only a broken row shows that
+    # the check returns its right side instead of copying the left: without
+    # the closure filter the "closed suborder" from {1} to B_2 is all of
+    # [{1}, B_2], whose mu_top is 2, not the principal filters' (-1)^2 = 1
+    monkeypatch.setattr(poset, "closed_suborder", lambda closure, lower, upper: interval(lower, upper))
+    try:
+        assert closure_theorem_check("up", top_only(2), full_algebra(2)) == (1, 2)
+    finally:
+        cold_caches()  # drop the row built from the broken suborder
 
 
 def test_closed_suborder_members():
@@ -473,7 +490,7 @@ def poset_layer_values(order):
         for z in enumerate_all(n)
         if is_sub(y, z)
     ]
-    checks = {i: closure_theorem_check(*theorem[i], theorem[i][1].n) for i in order(range(len(theorem)))}
+    checks = {i: closure_theorem_check(*theorem[i]) for i in order(range(len(theorem)))}
     small = [A for n in range(4) for A in enumerate_all(n)]
     isos = {i: product_decomposition(small[i]).iso for i in order(range(len(small)))}
     swaps = [
@@ -483,7 +500,7 @@ def poset_layer_values(order):
         for c2 in A.base.atoms[k + 1 :]
     ]
     swapped = {i: interval_isomorphism_via_permutation(*swaps[i]) for i in order(range(len(swaps)))}
-    return mus, subs, {i: (v.lhs, v.rhs) for i, v in checks.items()}, isos, swapped
+    return mus, subs, checks, isos, swapped
 
 
 def test_poset_layer_agrees_across_threads(cold_caches):
@@ -689,11 +706,21 @@ def test_every_route_returns_the_interned_lattice(cold_caches, monkeypatch):
 
 
 def test_atom_swap_examples():
-    assert interval_isomorphism_via_permutation(top_only(2), 0, 0).passed
-    v = interval_isomorphism_via_permutation(top_only(2), 0, 1)
-    assert v.passed
+    assert interval_isomorphism_via_permutation(top_only(2), 0, 0) == (5, 5)
+    # [{1}, [0,1]] has 2 members: one member-set check and 2 ** 2 pair checks
     assert len(interval(top_only(2), principal_ultrafilter(2, 0))) == 2
-    assert interval_isomorphism_via_permutation(top_only(3), 0, 2).passed
+    assert interval_isomorphism_via_permutation(top_only(2), 0, 1) == (5, 5)
+    checked, passed = interval_isomorphism_via_permutation(top_only(3), 0, 2)
+    assert checked == passed == 1 + len(interval(top_only(3), principal_ultrafilter(3, 0))) ** 2
+
+
+def test_atom_swap_counts_a_failed_check(monkeypatch):
+    # every real swap passes all its checks, so only a broken relabeling
+    # shows that the first number counts the checks made, not those passed:
+    # a "swap" that moves nothing leaves [{1}, [0,1]] in place, so the
+    # member-set check fails and the 2 ** 2 order checks pass
+    monkeypatch.setattr(poset, "apply_atom_permutation", lambda A, sigma: A)
+    assert interval_isomorphism_via_permutation(top_only(2), 0, 1) == (5, 4)
 
 
 def test_atom_swap_exhaustive():
@@ -702,7 +729,8 @@ def test_atom_swap_exhaustive():
             atoms = A.base.atoms
             for i, c1 in enumerate(atoms):
                 for c2 in atoms[i:]:
-                    assert interval_isomorphism_via_permutation(A, c1, c2).passed
+                    checked, passed = interval_isomorphism_via_permutation(A, c1, c2)
+                    assert checked == passed
 
 
 def test_atom_swap_requires_atoms_below_base():
@@ -821,7 +849,7 @@ def test_interval_json():
     assert doc["lower"] == {"n": 2, "base": [0, 1], "blocks": []}
     assert doc["upper"] == {"n": 2, "base": [], "blocks": [[0], [1]]}
     assert len(doc["members"]) == 5
-    assert doc["cover_edges"] == [[1, 0], [2, 0], [3, 0], [4, 1], [4, 2], [4, 3]]
+    assert doc["cover_edges"] == [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (4, 3)]
     # covers point upward: each edge joins a member to one directly above it
     for i, j in doc["cover_edges"]:
         assert is_sub(P.members[i], P.members[j])
