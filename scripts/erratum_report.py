@@ -28,8 +28,8 @@ def main(n_max: int) -> None:
     print("== top-interval chain sums ==")
     print(f"{'n':>3} {'corrected':>16} {'(-1)^n n!':>16} {'printed':>16} {'(-1)^n (n-1)!':>16}")
     for n in range(1, n_max + 1):
-        corrected = chain_sum_corrected(n).value
-        printed = chain_sum_printed(n).value
+        corrected = chain_sum_corrected(n)
+        printed = chain_sum_printed(n)
         print(
             f"{n:>3} {corrected:>16} {(-1) ** n * factorial(n):>16} "
             f"{printed:>16} {(-1) ** n * factorial(n - 1):>16}"

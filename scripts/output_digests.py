@@ -30,6 +30,8 @@ CLI_COMMANDS = (
     ("export", "--n", "4", "--format", "dot"),
     ("table", "--n-max", "100"),
     ("table", "--n-max", "100", "--format", "json"),
+    ("identity", "--n-max", "100"),
+    ("identity", "--n-max", "100", "--format", "json"),
 )
 
 SCRIPT_COMMANDS = (("scripts/erratum_report.py", "10"),)

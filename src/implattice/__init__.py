@@ -38,9 +38,9 @@ from .algebra import (
     up_closure,
 )
 from .formulas import (
-    ChainSumReport,
     NonIntegerResultError,
     bell,
+    chain_count,
     chain_sum_corrected,
     chain_sum_printed,
     factorial,

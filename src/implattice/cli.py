@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .formulas import (
     bell,
+    chain_count,
     chain_sum_corrected,
     chain_sum_printed,
     factorial,
@@ -63,6 +64,14 @@ def _cap_check(value: int, cap: int, what: str, override: bool) -> None:
         raise UsageError(
             f"{what} {value} exceeds the safety cap {cap}; pass --override-cap to force"
         )
+
+
+def _sum_range_check(top: int, what: str, override: bool) -> None:
+    """identity and table build one row per n from 1 up (the chain sums start
+    at n = 1); an empty table would pass every check on nothing."""
+    if top < 1:
+        raise UsageError(f"{what} must be >= 1, got {top}")
+    _cap_check(top, TABLE_CAP, what, override)
 
 
 def _parse_lattice(text: str, what: str, override: bool) -> ImpLattice:
@@ -194,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
-    _cap_check(args.n_max, TABLE_CAP, "n-max", args.override_cap)
+    _sum_range_check(args.n_max, "n-max", args.override_cap)
     rows = []
     all_ok = True
     for n in range(1, args.n_max + 1):
@@ -202,15 +211,15 @@ def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
         corrected = chain_sum_corrected(n)
         printed = chain_sum_printed(n)
         printed_expected = (-1) ** n * factorial(n - 1)
-        corrected_ok = corrected.value == closed
-        printed_ok = printed.value == printed_expected
+        corrected_ok = corrected == closed
+        printed_ok = printed == printed_expected
         all_ok = all_ok and corrected_ok and printed_ok
         rows.append(
             {
                 "n": n,
                 "closed_form": str(closed),
-                "corrected": str(corrected.value),
-                "printed": str(printed.value),
+                "corrected": str(corrected),
+                "printed": str(printed),
                 "printed_expected": str(printed_expected),
                 "corrected_ok": corrected_ok,
                 "printed_ok": printed_ok,
@@ -241,7 +250,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
         raise UsageError("table needs exactly one of --n or --n-max")
     single = args.n is not None
     top = args.n if single else args.n_max
-    _cap_check(top, TABLE_CAP, "n" if single else "n-max", args.override_cap)
+    _sum_range_check(top, "n" if single else "n-max", args.override_cap)
     ns = [top] if single else list(range(1, top + 1))
     if args.k is not None and not 1 <= args.k <= top:
         raise UsageError(f"need 1 <= k <= {top} (the largest n), got k={args.k}")
@@ -258,15 +267,15 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
             )
             oracle = mu_rank_sum_oracle(k, n) if n <= ORACLE_TABLE_CAP else None
             ok = all(
-                other is None or other == chain.value for other in (composition, oracle)
+                other is None or other == chain for other in (composition, oracle)
             )
             all_ok = all_ok and ok
             rows.append(
                 {
                     "n": n,
                     "k": k,
-                    "chain": str(chain.value),
-                    "chain_count": chain.chain_count,
+                    "chain": str(chain),
+                    "chain_count": chain_count(k, n),
                     "composition": None if composition is None else str(composition),
                     "oracle": None if oracle is None else str(oracle),
                     "match": ok,

@@ -1,7 +1,8 @@
 """Exact closed forms for the Mobius function of the sublattice order.
 
-Everything here is plain big-integer arithmetic (rationals only as an
-intermediate, with the result asserted integral).  Each formula is
+Everything here is plain big-integer arithmetic: the sums that carry a
+division are evaluated as integer recurrences and divided exactly at the
+end, with the quotient asserted integral.  Each formula is
 cross-validated elsewhere against the interval oracle; where a customary
 printed form of an identity is off by a sign or a normalization, both the
 as-printed and the corrected form are exposed, with the corrected one as the
@@ -13,8 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Callable
 
@@ -103,29 +102,12 @@ def mobius_product_formula_printed(A: ImpLattice) -> int:
     return _product_formula(A, A.key[0].bit_count() + A.w - A.n)
 
 
-@dataclass(frozen=True)
-class ChainSumReport:
-    """A signed Stirling-product sum over strictly decreasing integer chains.
-
-    ``chain_count`` is the number of chains the sum ranges over (the
-    evaluation itself collapses the chain recursion to O(n^2) arithmetic).
-    """
-
-    variant: str
-    n: int
-    k: int | None
-    value: int
-    chain_count: int
-
-
-def chain_report_to_dict(r: ChainSumReport) -> dict:
-    return {
-        "variant": r.variant,
-        "n": r.n,
-        "k": r.k,
-        "value": str(r.value),
-        "chain_count": r.chain_count,
-    }
+def chain_count(k: int, n: int) -> int:
+    """Number of strictly decreasing integer chains n = n_0 > ... > n_p = k:
+    one per subset of the n - k - 1 integers strictly between, so 1 for
+    n = k and 2^(n-k-1) otherwise.  The chain sums below range over these
+    chains, but are evaluated by an O(n^2) recursion, not chain by chain."""
+    return 1 if n == k else 2 ** (n - k - 1)
 
 
 @cache
@@ -143,9 +125,9 @@ def _corrected_value(n: int) -> int:
     return (-1) ** n - sum(stirling2(n, j) * _corrected_value(j) for j in range(1, n))
 
 
-def chain_sum_printed(n: int) -> ChainSumReport:
-    """The as-printed chain sum for mu({1}, B_n): chains down to 1 weighted
-    by (-1)^(p+1) times the Stirling product.
+def chain_sum_printed(n: int) -> int:
+    """The as-printed chain sum for mu({1}, B_n): the chains from n down to
+    1 weighted by (-1)^(p+1) times the Stirling product.
 
     This form drops the closed-suborder term of the closure identity, so it
     evaluates to (-1)^n (n-1)! rather than (-1)^n n!; it is exposed for the
@@ -153,16 +135,16 @@ def chain_sum_printed(n: int) -> ChainSumReport:
     """
     if n < 1:
         raise ValueError(f"chain sums need n >= 1, got {n}")
-    count = 1 if n == 1 else 2 ** (n - 2)
-    return ChainSumReport("printed", n, None, -_rank_chain_value(1, n), count)
+    return -_rank_chain_value(1, n)
 
 
-def chain_sum_corrected(n: int) -> ChainSumReport:
-    """The corrected chain sum: (-1)^n plus chains with any endpoint >= 1
-    weighted by (-1)^(endpoint+p); equals mu({1}, B_n) = (-1)^n n!."""
+def chain_sum_corrected(n: int) -> int:
+    """The corrected chain sum: (-1)^n plus the chains from n down to any
+    endpoint e with 1 <= e < n, weighted by (-1)^(e+p) times the Stirling
+    product; equals mu({1}, B_n) = (-1)^n n!."""
     if n < 1:
         raise ValueError(f"chain sums need n >= 1, got {n}")
-    return ChainSumReport("corrected", n, None, _corrected_value(n), 2 ** (n - 1) - 1)
+    return _corrected_value(n)
 
 
 def mu_top_closed_form(n: int) -> int:
@@ -189,12 +171,11 @@ def mu_rank_sum_oracle(k: int, n: int) -> int:
     return total
 
 
-def mu_rank_sum_chain(k: int, n: int) -> ChainSumReport:
-    """The same rank-restricted sum as a signed Stirling chain sum over
-    chains from n down to k."""
+def mu_rank_sum_chain(k: int, n: int) -> int:
+    """The same rank-restricted sum as a signed Stirling chain sum: the
+    chains from n down to k weighted by (-1)^p times the Stirling product."""
     _check_rank_domain(k, n)
-    count = 1 if n == k else 2 ** (n - k - 1)
-    return ChainSumReport("rank_chain", n, k, _rank_chain_value(k, n), count)
+    return _rank_chain_value(k, n)
 
 
 def _next_composition_row(rows: list[list[int]]) -> list[int]:
@@ -218,8 +199,9 @@ def _composition_sum(k: int, n: int, divisor: int) -> int:
     value = (-1) ** (n - k) * _table_row(_COMPOSITION_ROWS, n, _next_composition_row)[k]
     quotient, remainder = divmod(value, divisor)
     if remainder:
+        g = math.gcd(value, divisor)  # divisor is k! or 1, so positive
         raise NonIntegerResultError(
-            f"composition sum for (k={k}, n={n}) is {Fraction(value, divisor)}"
+            f"composition sum for (k={k}, n={n}) is {value // g}/{divisor // g}"
         )
     return quotient
 
@@ -251,4 +233,4 @@ def rank_one_chain_identity(n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError(f"identity needs n >= 1, got {n}")
-    return (-1) ** (n - 1) * factorial(n - 1), mu_rank_sum_chain(1, n).value
+    return (-1) ** (n - 1) * factorial(n - 1), mu_rank_sum_chain(1, n)

@@ -188,17 +188,17 @@ def _claim_product_formula_printed_sign(n: int) -> Iterator[bool]:
 
 def _claim_corrected_identity(n: int) -> tuple[int, int]:
     """Corrected chain sum equals (-1)^n n!."""
-    return formulas.chain_sum_corrected(n).value, formulas.mu_top_closed_form(n)
+    return formulas.chain_sum_corrected(n), formulas.mu_top_closed_form(n)
 
 
 def _claim_corrected_vs_oracle(n: int) -> tuple[int, int]:
     """Corrected chain sum equals the oracle mu({1}, B_n)."""
-    return formulas.chain_sum_corrected(n).value, mobius_between(top_only(n), full_algebra(n))
+    return formulas.chain_sum_corrected(n), mobius_between(top_only(n), full_algebra(n))
 
 
 def _claim_printed_value(n: int) -> tuple[int, int]:
     """The as-printed chain sum is pinned to (-1)^n (n-1)!."""
-    return formulas.chain_sum_printed(n).value, (-1) ** n * formulas.factorial(n - 1)
+    return formulas.chain_sum_printed(n), (-1) ** n * formulas.factorial(n - 1)
 
 
 def _claim_product_pairing(n: int) -> Iterator[bool]:
@@ -224,13 +224,13 @@ def _claim_product_mu(n: int) -> Iterator[bool]:
 def _claim_rank_chain_vs_oracle(n: int) -> Iterator[bool]:
     """Rank-restricted chain sums agree with the oracle sums, k = 1..n."""
     for k in range(1, n + 1):
-        yield formulas.mu_rank_sum_chain(k, n).value == formulas.mu_rank_sum_oracle(k, n)
+        yield formulas.mu_rank_sum_chain(k, n) == formulas.mu_rank_sum_oracle(k, n)
 
 
 def _claim_rank_chain_vs_composition(n: int) -> Iterator[bool]:
     """Rank-restricted chain sums agree with the corrected composition form."""
     for k in range(1, n + 1):
-        yield formulas.mu_rank_sum_chain(k, n).value == formulas.mu_rank_sum_composition(k, n)
+        yield formulas.mu_rank_sum_chain(k, n) == formulas.mu_rank_sum_composition(k, n)
 
 
 def _claim_partition_sum_agreement(n: int) -> Iterator[bool]:

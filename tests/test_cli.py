@@ -337,6 +337,22 @@ def test_table_k_above_largest_n_is_usage_error(capsys, bound):
     assert "need 1 <= k <= 3" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--n", "0"], ["table", "--n-max", "0"], ["identity", "--n-max", "0"]],
+    ids=" ".join,
+)
+def test_arithmetic_tables_need_n_at_least_one(capsys, argv):
+    # the chain sums start at n = 1: an empty table would claim every check
+    # passed on nothing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert main([*argv[:-1], "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # --- export --------------------------------------------------------------------
 
 

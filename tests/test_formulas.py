@@ -15,7 +15,7 @@ from implattice.algebra import ImpLattice, enumerate_all, full_algebra, top_only
 from implattice.algebra import _set_partitions
 from implattice.formulas import (
     bell,
-    chain_report_to_dict,
+    chain_count,
     chain_sum_corrected,
     chain_sum_printed,
     factorial,
@@ -168,25 +168,25 @@ def test_printed_sign_wrong_exactly_for_odd_base_rank():
 
 
 def test_chain_sum_values():
-    assert [chain_sum_printed(n).value for n in range(1, 4)] == [-1, 1, -2]
-    assert [chain_sum_corrected(n).value for n in range(1, 4)] == [-1, 2, -6]
-    assert chain_sum_corrected(4).value == 24
+    assert [chain_sum_printed(n) for n in range(1, 4)] == [-1, 1, -2]
+    assert [chain_sum_corrected(n) for n in range(1, 4)] == [-1, 2, -6]
+    assert chain_sum_corrected(4) == 24
 
 
 def test_corrected_equals_signed_factorial_up_to_15():
     for n in range(1, 16):
-        assert chain_sum_corrected(n).value == (-1) ** n * math.factorial(n)
-        assert chain_sum_corrected(n).value == mu_top_closed_form(n)
+        assert chain_sum_corrected(n) == (-1) ** n * math.factorial(n)
+        assert chain_sum_corrected(n) == mu_top_closed_form(n)
 
 
 def test_printed_equals_signed_shifted_factorial_up_to_15():
     for n in range(1, 16):
-        assert chain_sum_printed(n).value == (-1) ** n * math.factorial(n - 1)
+        assert chain_sum_printed(n) == (-1) ** n * math.factorial(n - 1)
 
 
 def test_corrected_matches_oracle():
     for n in range(1, 7):
-        assert chain_sum_corrected(n).value == mobius_between(top_only(n), full_algebra(n))
+        assert chain_sum_corrected(n) == mobius_between(top_only(n), full_algebra(n))
 
 
 def test_chain_sums_against_explicit_enumeration(chains_oracle):
@@ -196,9 +196,8 @@ def test_chain_sums_against_explicit_enumeration(chains_oracle):
         value = sum(
             (-1) ** (len(ch) - 1 + 1) * stirling_product(ch) for ch in printed_chains
         )
-        report = chain_sum_printed(n)
-        assert report.value == value
-        assert report.chain_count == len(printed_chains)
+        assert chain_sum_printed(n) == value
+        assert chain_count(1, n) == len(printed_chains)
 
         corrected = (-1) ** n
         count = 0
@@ -206,9 +205,8 @@ def test_chain_sums_against_explicit_enumeration(chains_oracle):
             for ch in chains_oracle(n, endpoint):
                 corrected += (-1) ** (ch[-1] + len(ch) - 1) * stirling_product(ch)
                 count += 1
-        report = chain_sum_corrected(n)
-        assert report.value == corrected
-        assert report.chain_count == count == 2 ** (n - 1) - 1
+        assert chain_sum_corrected(n) == corrected
+        assert sum(chain_count(e, n) for e in range(1, n)) == count == 2 ** (n - 1) - 1
 
 
 def test_rank_chain_against_explicit_enumeration(chains_oracle):
@@ -216,34 +214,8 @@ def test_rank_chain_against_explicit_enumeration(chains_oracle):
         for k in range(1, n + 1):
             chains = chains_oracle(n, k)
             value = sum((-1) ** (len(ch) - 1) * stirling_product(ch) for ch in chains)
-            report = mu_rank_sum_chain(k, n)
-            assert report.value == value
-            assert report.chain_count == len(chains)
-
-
-def test_chain_report_json():
-    report = mu_rank_sum_chain(2, 4)
-    assert chain_report_to_dict(report) == {
-        "variant": "rank_chain",
-        "n": 4,
-        "k": 2,
-        "value": "11",
-        "chain_count": 2,
-    }
-    assert chain_report_to_dict(chain_sum_corrected(3)) == {
-        "variant": "corrected",
-        "n": 3,
-        "k": None,
-        "value": "-6",
-        "chain_count": 3,
-    }
-    assert chain_report_to_dict(chain_sum_printed(1)) == {
-        "variant": "printed",
-        "n": 1,
-        "k": None,
-        "value": "-1",
-        "chain_count": 1,
-    }
+            assert mu_rank_sum_chain(k, n) == value
+            assert chain_count(k, n) == len(chains)
 
 
 # --- rank-restricted sums ------------------------------------------------------
@@ -258,16 +230,16 @@ def test_rank_sum_oracle_values():
 
 
 def test_rank_chain_values():
-    assert mu_rank_sum_chain(3, 3).value == 1
-    assert mu_rank_sum_chain(1, 3).value == -stirling2(3, 1) + stirling2(3, 2) * stirling2(2, 1)
-    assert mu_rank_sum_chain(2, 4).value == -stirling2(4, 2) + stirling2(4, 3) * stirling2(3, 2)
-    assert mu_rank_sum_chain(2, 4).value == 11
+    assert mu_rank_sum_chain(3, 3) == 1
+    assert mu_rank_sum_chain(1, 3) == -stirling2(3, 1) + stirling2(3, 2) * stirling2(2, 1)
+    assert mu_rank_sum_chain(2, 4) == -stirling2(4, 2) + stirling2(4, 3) * stirling2(3, 2)
+    assert mu_rank_sum_chain(2, 4) == 11
 
 
 def test_rank_chain_matches_oracle():
     for n in range(1, 6):
         for k in range(1, n + 1):
-            assert mu_rank_sum_chain(k, n).value == mu_rank_sum_oracle(k, n)
+            assert mu_rank_sum_chain(k, n) == mu_rank_sum_oracle(k, n)
 
 
 def test_partition_sum_is_second_oracle_route():
@@ -292,7 +264,14 @@ def test_composition_formula_values():
 def test_composition_matches_chain_up_to_12():
     for n in range(1, 13):
         for k in range(1, n + 1):
-            assert mu_rank_sum_composition(k, n) == mu_rank_sum_chain(k, n).value
+            assert mu_rank_sum_composition(k, n) == mu_rank_sum_chain(k, n)
+
+
+def test_non_integral_composition_sum_is_refused():
+    # the printed (k=2, n=3) value -6 divided by 4 instead of 2! is -3/2; the
+    # message prints the reduced fraction with its sign on the numerator
+    with pytest.raises(formulas.NonIntegerResultError, match=r"is -3/2$"):
+        formulas._composition_sum(2, 3, 4)
 
 
 def test_printed_composition_erratum():
@@ -413,8 +392,8 @@ def test_mu_top_closed_form_values():
 @given(st.integers(min_value=1, max_value=40))
 def test_corrected_recursion_consistency(n):
     # f(n) = (-1)^n - sum_{k<n} S(n,k) f(k) must telescope to (-1)^n n!
-    lhs = chain_sum_corrected(n).value
+    lhs = chain_sum_corrected(n)
     rhs = (-1) ** n - sum(
-        stirling2(n, k) * chain_sum_corrected(k).value for k in range(1, n)
+        stirling2(n, k) * chain_sum_corrected(k) for k in range(1, n)
     )
     assert lhs == rhs == (-1) ** n * math.factorial(n)

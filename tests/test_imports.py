@@ -1,7 +1,7 @@
 """Module hygiene of the library: every name a module imports is used in
 that module, only ``algebra`` constructs ``ImpLattice`` objects, only
 ``verify`` constructs ``Verdict`` objects, and the test helper that empties
-the memos knows every memo.
+the memos knows every memo and every row table.
 
 ``__init__.py`` is skipped: it imports names to re-export them.
 """
@@ -81,16 +81,34 @@ def test_only_the_claim_registry_builds_verdicts(path):
     assert constructor_calls(path.read_text(encoding="utf-8"), "Verdict") == []
 
 
-def memoized_functions():
-    """Every ``functools.cache`` function a library module defines, found by
-    its ``cache_info`` attribute."""
+def library_globals(keep):
+    """Every module-level object of a library module for which
+    ``keep(module, name, obj)`` holds, keyed ``"module.name"``."""
     found = {}
     for path in MODULES:
         module = importlib.import_module(f"implattice.{path.stem}")
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+            if keep(module, name, obj):
                 found[f"{path.stem}.{name}"] = obj
     return found
+
+
+def memoized_functions():
+    """Every ``functools.cache`` function a library module defines, found by
+    its ``cache_info`` attribute."""
+    return library_globals(
+        lambda module, name, obj: hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+    )
+
+
+def row_tables():
+    """Every module-level ``_*_ROWS`` list a library module defines: the
+    tables that grow a row at a time from row 0."""
+    return library_globals(
+        lambda module, name, obj: name.startswith("_")
+        and name.endswith("_ROWS")
+        and isinstance(obj, list)
+    )
 
 
 def test_clear_caches_empties_every_memo(cold_caches):
@@ -102,3 +120,14 @@ def test_clear_caches_empties_every_memo(cold_caches):
     assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set(memos)
     cold_caches()
     assert {name: fn.cache_info().currsize for name, fn in memos.items()} == dict.fromkeys(memos, 0)
+
+
+def test_clear_caches_trims_every_row_table(cold_caches):
+    # a row table the helper forgets would let a cold-cache test read rows
+    # an earlier test built
+    tables = row_tables()
+    assert {"formulas._STIRLING_ROWS", "formulas._COMPOSITION_ROWS"} <= set(tables)
+    run_suite("all", 3)
+    assert {name for name, rows in tables.items() if len(rows) > 1} == set(tables)
+    cold_caches()
+    assert {name: len(rows) for name, rows in tables.items()} == dict.fromkeys(tables, 1)
