@@ -21,8 +21,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # argument lists for ``python -m implattice``
 CLI_COMMANDS = (
+    ("verify", "--suite", "all", "--n-max", "5"),
     ("verify", "--suite", "all", "--n-max", "5", "--format", "json"),
     ("verify", "--suite", "all", "--n-max", "6", "--format", "json"),
+    ("mobius", "--n", "7"),
     ("mobius", "--n", "7", "--format", "json"),
     ("mobius", "--n", "8", "--format", "json"),
     ("export", "--n", "7", "--format", "json"),

@@ -58,7 +58,6 @@ from .formulas import (
 from .poset import (
     AtomNotBelowBaseError,
     IntervalPoset,
-    MobiusTable,
     NotClosedEndpointError,
     NotComparableError,
     ProductDecomposition,

@@ -148,7 +148,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_mobius(args: argparse.Namespace) -> tuple[str, int]:
     poset = _resolve_interval(args)
     lower, upper = poset.lower, poset.upper
-    oracle = mobius_oracle(poset).mu_top
+    oracle = mobius_oracle(poset)[poset.upper_index]
     closed_form = None
     agree = None
     if upper == full_algebra(upper.n):

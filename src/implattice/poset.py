@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .algebra import (
     ImpLattice,
@@ -69,13 +69,14 @@ class IntervalPoset:
     Stored: the members, in canonical order, and the indices of the lower and
     upper ends.  For :func:`interval` the members are exactly
     ``{D : lower <= D <= upper}``; :func:`closed_suborder` restricts them to
-    closure fixed points.  Derived on first use and cached on the poset: the
-    order ``down``, the Hasse edges ``covers`` and the Mobius table.  The
-    first two read each member's covers off :func:`_covered`, so every cover
-    of the member set must be one merge of two blocks or one absorb of a
-    block into the base.  That holds for an interval, which is convex, and
-    for the closed suborders: Boolean subalgebras step by merges, principal
-    filters by absorbing a singleton block.
+    closure fixed points.  Derived on first use and cached on the poset, as
+    plain tuples: the order ``down``, the Hasse edges ``covers`` and the
+    Mobius values.  The first two read each member's covers off
+    :func:`_covered`, so every cover of the member set must be one merge of
+    two blocks or one absorb of a block into the base.  That holds for an
+    interval, which is convex, and for the closed suborders: Boolean
+    subalgebras step by merges, principal filters by absorbing a singleton
+    block.
     """
 
     members: tuple[ImpLattice, ...]
@@ -128,9 +129,8 @@ class IntervalPoset:
         return tuple(edges)
 
     @cached_property
-    def _mobius(self) -> MobiusTable:
-        mu = _fold_below(self, 1, lambda below: -sum(u * c for u, c in below))
-        return MobiusTable(self, tuple(mu))
+    def _mobius(self) -> tuple[int, ...]:
+        return tuple(_fold_below(self, 1, lambda below: -sum(u * c for u, c in below)))
 
 
 def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -182,18 +182,6 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     return IntervalPoset(members, members.index(lower), members.index(upper))
 
 
-@dataclass(frozen=True)
-class MobiusTable:
-    """Values ``mu(lower, member)`` for every member of an interval."""
-
-    interval: IntervalPoset
-    mu: tuple[int, ...]
-
-    @property
-    def mu_top(self) -> int:
-        return self.mu[self.interval.upper_index]
-
-
 def _fold_below(
     poset: IntervalPoset, at_lower: int, combine: Callable[[list[tuple[int, int]]], int]
 ) -> list[int]:
@@ -224,15 +212,17 @@ def _fold_below(
     return value
 
 
-def mobius_oracle(poset: IntervalPoset) -> MobiusTable:
-    """Mobius by the defining recursion: mu(lower) = 1 and every proper
-    down-set sums to zero.  Computed once per poset and cached on it."""
+def mobius_oracle(poset: IntervalPoset) -> tuple[int, ...]:
+    """``mu(lower, member)`` for every member, in member order, by the
+    defining recursion: mu(lower) = 1 and every proper down-set sums to
+    zero.  Computed once per poset and cached on it."""
     return poset._mobius
 
 
 def mobius_between(lower: ImpLattice, upper: ImpLattice) -> int:
     """Convenience: mu(lower, upper) via the oracle."""
-    return mobius_oracle(interval(lower, upper)).mu_top
+    P = interval(lower, upper)
+    return mobius_oracle(P)[P.upper_index]
 
 
 def _closure(name: str) -> Callable[[ImpLattice], ImpLattice]:
@@ -259,13 +249,13 @@ def _closure_row(closure: str, y: ImpLattice) -> tuple[dict, dict | None]:
     cl = _closure(closure)
     whole = interval(y, full_algebra(y.n))
     sums: dict[ImpLattice, int] = {}
-    for x, mu in zip(whole.members, mobius_oracle(whole).mu):
+    for x, mu in zip(whole.members, mobius_oracle(whole)):
         c = cl(x)
         sums[c] = sums.get(c, 0) + mu
     if cl(y) != y:
         return sums, None
     sub = closed_suborder(closure, y, whole.upper)  # both closures fix B_n
-    return sums, dict(zip(sub.members, mobius_oracle(sub).mu))
+    return sums, dict(zip(sub.members, mobius_oracle(sub)))
 
 
 def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[int, int]:
@@ -277,7 +267,7 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[i
     cl(z) when y is itself closed, and 0 otherwise.  Both are read from one
     row per (closure, y), built once over [y, B].  The Mobius function is
     local to an interval: the closed suborder from y to cl(z) is the
-    down-set of cl(z) in the closed suborder from y to B, so its ``mu_top``
+    down-set of cl(z) in the closed suborder from y to B, so its top value
     is the row's value at cl(z).
     """
     if not is_sub(y, z):
@@ -331,12 +321,12 @@ def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     return ProductDecomposition(whole, p1, p2, tuple(iso))
 
 
-def _product_order(pd: ProductDecomposition) -> list[int]:
+def _product_order(pd: ProductDecomposition) -> tuple[int, ...]:
     """The product of the factor orders pulled back through ``iso``, as one
     down-mask per whole member: i is below j iff both factor parts of i are
     below those of j.  Each factor down-set is remapped through the preimage
     masks of its indices, so this is exact whether or not ``iso`` is a
-    bijection."""
+    bijection.  A tuple, like ``down``, so the two compare whole."""
     pre1 = [0] * len(pd.p1)
     pre2 = [0] * len(pd.p2)
     for i, (i1, i2) in enumerate(pd.iso):
@@ -344,34 +334,27 @@ def _product_order(pd: ProductDecomposition) -> list[int]:
         pre2[i2] |= 1 << i
     down1 = [remap(d, pre1) for d in pd.p1.down]
     down2 = [remap(d, pre2) for d in pd.p2.down]
-    return [down1[i1] & down2[i2] for i1, i2 in pd.iso]
+    return tuple(down1[i1] & down2[i2] for i1, i2 in pd.iso)
 
 
-def _agreeing_pairs(poset: IntervalPoset, down: Sequence[int]) -> int:
-    """How many of the ordered member pairs (i, j) a candidate order, given
-    as one down-mask per member, orders as the poset does: all
-    ``len(poset) ** 2`` of them exactly when ``down`` is the poset's."""
-    m = len(poset)
-    return m * m - sum((a ^ b).bit_count() for a, b in zip(poset.down, down, strict=True))
-
-
-def _containment(lattices: list[ImpLattice]) -> list[int]:
+def _containment(lattices: list[ImpLattice]) -> tuple[int, ...]:
     """The order ``is_sub`` puts on ``lattices``, as one down-mask per
     lattice (bit i of entry j is ``is_sub(lattices[i], lattices[j])``), keys
-    built once."""
+    built once.  A tuple, like ``down``, so the two compare whole."""
     keys = [A.key for A in lattices]
-    return [sum(1 << i for i, ki in enumerate(keys) if _sub_masks(*ki, *kj)) for kj in keys]
+    return tuple(sum(1 << i for i, ki in enumerate(keys) if _sub_masks(*ki, *kj)) for kj in keys)
 
 
-def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> tuple[int, int]:
+def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> tuple[tuple, tuple]:
     """Swap two atoms below base(A) and compare the atom-filter intervals.
 
     The transposition fixes A, maps ``[A, [c1,1]]`` onto ``[A, [c2,1]]``, and
-    must preserve and reflect order.  Returns ``(checks made, checks
-    passed)``: one check that the image is the target's member set, and one
-    per ordered member pair that the image orders it as the source does, so
-    ``1 + len(src) ** 2`` checks in all; the intervals are isomorphic when
-    the two are equal.
+    must preserve and reflect order.  Returns the two sides ``(lhs, rhs)``:
+    the target's member set and the source's order, and the image's member
+    set and the order containment puts on the image, one down-mask per
+    source member.  The intervals are isomorphic when the two are equal; the
+    image is then also one-to-one, since two equal images would lie below
+    each other, which the source's antisymmetric order does not allow.
     """
     n = A.n
     for c in (c1, c2):
@@ -382,10 +365,7 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> tup
     src = interval(A, principal_ultrafilter(n, c1))
     dst = interval(A, principal_ultrafilter(n, c2))
     image = [apply_atom_permutation(m, sigma) for m in src.members]
-
-    passed = int(set(image) == set(dst.members) and len(src) == len(dst))
-    passed += _agreeing_pairs(src, _containment(image))
-    return 1 + len(src) ** 2, passed
+    return (frozenset(dst.members), src.down), (frozenset(image), _containment(image))
 
 
 def maximal_chain_length(poset: IntervalPoset) -> int:

@@ -53,7 +53,7 @@ def brute_chains(n, k):
 
 def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
-    hold the posets, and so their cached orders, Mobius tables and covers, the
+    hold the posets, and so their cached orders, Mobius values and covers, the
     product decompositions and the interned lattices) and the Stirling and
     composition row tables, trimmed back to row 0."""
     from implattice import algebra, formulas, poset

@@ -1,10 +1,12 @@
 import collections
 import dataclasses
+import gc
 import json
 import math
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -44,7 +46,6 @@ from implattice.poset import (
     mobius_between,
     mobius_oracle,
     product_decomposition,
-    _agreeing_pairs,
     _closure_row,
     _containment,
     _fold_below,
@@ -59,6 +60,11 @@ def mask(atoms):
 
 def lat(n, base, *blocks):
     return ImpLattice(n, (mask(base), tuple(mask(b) for b in blocks)))
+
+
+def mu_top(P):
+    """mu(lower, upper) of a poset, read off its Mobius values."""
+    return mobius_oracle(P)[P.upper_index]
 
 
 # --- interval construction ----------------------------------------------------
@@ -203,7 +209,7 @@ def test_exports_build_no_order(cold_caches):
     interval_to_json(P)
     interval_to_dot(P)
     assert "covers" in vars(P) and "down" not in vars(P)
-    assert mobius_oracle(P).mu_top == 24
+    assert mu_top(P) == 24
     assert "down" in vars(P)
 
 
@@ -232,9 +238,9 @@ def test_mobius_examples():
 def test_mobius_defining_identity_every_interval():
     # for every interval [y, z] with n <= 4, proper down-sets sum to zero
     def check(P):
-        table = mobius_oracle(P)
+        mu = mobius_oracle(P)
         for i in range(len(P)):
-            total = sum(table.mu[j] for j in range(len(P)) if P.leq(j, i))
+            total = sum(mu[j] for j in range(len(P)) if P.leq(j, i))
             assert total == (1 if i == P.lower_index else 0)
 
     for n in range(5):
@@ -245,21 +251,62 @@ def test_mobius_defining_identity_every_interval():
                     check(interval(lower, upper))
 
 
-def test_mobius_matches_independent_recursion(
-    closed_families_oracle, mobius_oracle_brute
-):
-    # the library oracle against a from-scratch recursion over raw mask sets
+def assert_mobius_matches_brute(P, families, brute):
+    """P's members are exactly the families between its ends, and its Mobius
+    values, in member order, are ``brute``'s, the recursion over
+    ``families``."""
+    index = {fam: i for i, fam in enumerate(families)}
+    lo, hi = (frozenset(A._element_masks) for A in (P.lower, P.upper))
+    masks = [frozenset(D._element_masks) for D in P.members]
+    assert set(masks) == {fam for fam in families if lo <= fam <= hi}
+    i = index[lo]
+    assert mobius_oracle(P) == tuple(brute[i, index[fam]] for fam in masks)
+
+
+def test_mobius_matches_independent_recursion(closed_families_oracle, mobius_oracle_brute):
+    # the library oracle against a from-scratch recursion over raw mask sets,
+    # on every interval and on both closed suborders, whose fixed families
+    # are found from the masks too: closed under complement m ^ full, or
+    # upward closed
     for n in range(4):
+        full = (1 << n) - 1
         families = closed_families_oracle(n)
+        fixed = {
+            "complement": [F for F in families if all(m ^ full in F for m in F)],
+            "up": [F for F in families if all(m | x in F for m in F for x in range(full + 1))],
+        }
         brute = mobius_oracle_brute(families)
-        index = {fam: i for i, fam in enumerate(families)}
-        for lower in enumerate_all(n):
-            P = interval(lower, full_algebra(n))
-            table = mobius_oracle(P)
-            i = index[frozenset(lower._element_masks)]
-            for pos, member in enumerate(P.members):
-                j = index[frozenset(member._element_masks)]
-                assert table.mu[pos] == brute[i, j]
+        lattices = enumerate_all(n)
+        for lower in lattices:
+            for upper in lattices:
+                if is_sub(lower, upper):
+                    assert_mobius_matches_brute(interval(lower, upper), families, brute)
+        masks = {A: frozenset(A._element_masks) for A in lattices}
+        for closure, closed in fixed.items():
+            brute = mobius_oracle_brute(closed)
+            ends = [A for A in lattices if masks[A] in closed]
+            for lower in ends:
+                for upper in ends:
+                    if masks[lower] <= masks[upper]:
+                        P = closed_suborder(closure, lower, upper)
+                        assert_mobius_matches_brute(P, closed, brute)
+
+
+def test_a_dropped_poset_is_freed_without_the_cycle_collector():
+    # the order, the Hasse edges and the Mobius values are cached on the
+    # poset as plain tuples, none of which refers back to it, so dropping
+    # the last reference frees it at once (closed suborders are not memoized)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        P = closed_suborder("up", top_only(3), full_algebra(3))
+        assert P.down and P.covers and mobius_oracle(P)
+        ref = weakref.ref(P)
+        del P
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def contract_onto(A, C):
@@ -312,7 +359,7 @@ def fold_below_reference(poset, at_lower, combine):
 
 def assert_fold_matches_reference(P):
     mu = fold_below_reference(P, 1, lambda below: -sum(below))
-    assert list(mobius_oracle(P).mu) == mu
+    assert mobius_oracle(P) == tuple(mu)
     chain = fold_below_reference(P, 0, lambda below: max(below, default=-1) + 1)
     assert _fold_below(P, 0, lambda below: max((u for u, _ in below), default=-1) + 1) == chain
     assert maximal_chain_length(P) == chain[P.upper_index]
@@ -360,10 +407,10 @@ def closure_theorem_reference(closure, y, z, n):
     from y to cl(z) itself."""
     cl = CLOSURES[closure]
     whole = interval(y, full_algebra(n))
-    table = mobius_oracle(whole)
+    mu = mobius_oracle(whole)
     cz = cl(z)
-    lhs = sum(table.mu[i] for i, x in enumerate(whole.members) if cl(x) == cz)
-    rhs = mobius_oracle(closed_suborder(closure, y, cz)).mu_top if cl(y) == y else 0
+    lhs = sum(mu[i] for i, x in enumerate(whole.members) if cl(x) == cz)
+    rhs = mu_top(closed_suborder(closure, y, cz)) if cl(y) == y else 0
     return lhs, rhs
 
 
@@ -429,7 +476,7 @@ def test_closure_theorem_returns_its_right_side(cold_caches, monkeypatch):
     # the two sides agree on every real pair, so only a broken row shows that
     # the check returns its right side instead of copying the left: without
     # the closure filter the "closed suborder" from {1} to B_2 is all of
-    # [{1}, B_2], whose mu_top is 2, not the principal filters' (-1)^2 = 1
+    # [{1}, B_2], whose top value is 2, not the principal filters' (-1)^2 = 1
     monkeypatch.setattr(poset, "closed_suborder", lambda closure, lower, upper: interval(lower, upper))
     try:
         assert closure_theorem_check("up", top_only(2), full_algebra(2)) == (1, 2)
@@ -448,7 +495,7 @@ def test_closed_suborder_members():
     for n in range(5):
         sub = closed_suborder("up", top_only(n), full_algebra(n))
         assert len(sub) == 2**n
-        assert mobius_oracle(sub).mu_top == (-1) ** n
+        assert mu_top(sub) == (-1) ** n
     # n = 1: the up closure has the 2-member chain [{1}, B]; the only
     # complement-closed element of B_1 is B itself
     assert len(closed_suborder("up", top_only(1), full_algebra(1))) == 2
@@ -465,10 +512,10 @@ def test_closed_suborder_rejects_open_endpoints():
 
 
 def poset_layer_values(order):
-    """mu(A, B_4) for every A, then the closed-suborder mu_top of every closed
+    """mu(A, B_4) for every A, then the closed-suborder top value of every closed
     pair and the closure-theorem (lhs, rhs) of every comparable pair at
     n <= 3 for both closures, then the product-decomposition index map of
-    every A and the atom-swap verdict of every swap at n <= 3 (both relabel
+    every A and the atom-swap sides of every swap at n <= 3 (both relabel
     through the intern table), visited in a given order."""
     top = full_algebra(4)
     lattices = enumerate_all(4)
@@ -481,7 +528,7 @@ def poset_layer_values(order):
         for upper in enumerate_all(n)
         if cl(lower) == lower and cl(upper) == upper and is_sub(lower, upper)
     ]
-    subs = {i: mobius_oracle(closed_suborder(*pairs[i])).mu_top for i in order(range(len(pairs)))}
+    subs = {i: mu_top(closed_suborder(*pairs[i])) for i in order(range(len(pairs)))}
     theorem = [
         (closure, y, z)
         for closure in sorted(CLOSURES)
@@ -572,41 +619,26 @@ def test_product_mu_multiplies():
     for n in range(5):
         for A in enumerate_all(n):
             pd = product_decomposition(A)
-            assert (
-                mobius_oracle(pd.whole).mu_top
-                == mobius_oracle(pd.p1).mu_top * mobius_oracle(pd.p2).mu_top
-            )
+            assert mu_top(pd.whole) == mu_top(pd.p1) * mu_top(pd.p2)
 
 
-# --- order agreement by bitsets -------------------------------------------------------
+# --- orders as down-mask tuples -------------------------------------------------------
 
 
-def agreeing_pairs_reference(P, leq):
-    """The pairwise count: how many ordered member pairs (i, j) the
-    predicate ``leq`` orders as P does."""
+def assert_orders_agree(P, down, leq):
+    """The candidate down-masks are the order the predicate ``leq`` puts on
+    P's member indices, built pair by pair, and that order is P's."""
     m = len(P)
-    return sum(P.leq(i, j) == leq(i, j) for i in range(m) for j in range(m))
+    assert down == tuple(sum(1 << i for i in range(m) if leq(i, j)) for j in range(m))
+    assert down == P.down
 
 
-def assert_counts_agree(P, down, leq):
-    """The bitset count of the candidate down-masks equals the pairwise count
-    of the same order as a predicate, and flipping any one bit of one
-    candidate mask moves the count by exactly 1."""
-    count = _agreeing_pairs(P, down)
-    assert count == agreeing_pairs_reference(P, leq)
-    for j in range(len(P)):
-        for i in range(len(P)):
-            flipped = list(down)
-            flipped[j] ^= 1 << i
-            assert abs(_agreeing_pairs(P, flipped) - count) == 1
-
-
-def test_product_order_count_matches_the_pairwise_count():
+def test_product_order_matches_the_pairwise_order():
     for n in range(5):
         for A in enumerate_all(n):
             pd = product_decomposition(A)
             iso = pd.iso
-            assert_counts_agree(
+            assert_orders_agree(
                 pd.whole,
                 _product_order(pd),
                 lambda i, j: pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1]),
@@ -619,18 +651,18 @@ def test_product_order_is_exact_for_any_index_map():
     for A in enumerate_all(3):
         pd = product_decomposition(A)
         iso = tuple((rng.randrange(len(pd.p1)), rng.randrange(len(pd.p2))) for _ in pd.iso)
-        want = [
+        want = tuple(
             sum(
                 1 << i
                 for i in range(len(iso))
                 if pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1])
             )
             for j in range(len(iso))
-        ]
+        )
         assert _product_order(dataclasses.replace(pd, iso=iso)) == want
 
 
-def test_containment_count_matches_the_pairwise_count():
+def test_containment_matches_the_pairwise_order():
     # the atom-swap images and the contracted images of the iso claims
     for n in range(5):
         for A in enumerate_all(n):
@@ -641,11 +673,11 @@ def test_containment_count_matches_the_pairwise_count():
                     sigma[c1], sigma[c2] = sigma[c2], sigma[c1]
                     src = interval(A, principal_ultrafilter(n, c1))
                     image = [apply_atom_permutation(D, sigma) for D in src.members]
-                    assert_counts_agree(src, _containment(image), lambda i, j: is_sub(image[i], image[j]))
+                    assert_orders_agree(src, _containment(image), lambda i, j: is_sub(image[i], image[j]))
             if is_boolean_subalgebra(A):
                 below = interval(top_only(n), A)
                 image = [_contract(A, D) for D in below.members]
-                assert_counts_agree(below, _containment(image), lambda i, j: is_sub(image[i], image[j]))
+                assert_orders_agree(below, _containment(image), lambda i, j: is_sub(image[i], image[j]))
 
 
 # --- one intern table -----------------------------------------------------------------
@@ -705,22 +737,40 @@ def test_every_route_returns_the_interned_lattice(cold_caches, monkeypatch):
 # --- relabeling isomorphisms ----------------------------------------------------------
 
 
+def atom_filters(n, c1, c2):
+    return (interval(top_only(n), principal_ultrafilter(n, c)) for c in (c1, c2))
+
+
 def test_atom_swap_examples():
-    assert interval_isomorphism_via_permutation(top_only(2), 0, 0) == (5, 5)
-    # [{1}, [0,1]] has 2 members: one member-set check and 2 ** 2 pair checks
-    assert len(interval(top_only(2), principal_ultrafilter(2, 0))) == 2
-    assert interval_isomorphism_via_permutation(top_only(2), 0, 1) == (5, 5)
-    checked, passed = interval_isomorphism_via_permutation(top_only(3), 0, 2)
-    assert checked == passed == 1 + len(interval(top_only(3), principal_ultrafilter(3, 0))) ** 2
+    # [{1}, [0,1]] is the 2-chain {1} < [0,1], listed top first; each side is
+    # a member set and one down-mask per source member
+    src, dst = atom_filters(2, 0, 1)
+    assert src.down == (3, 2) and len(dst) == 2
+    side = (frozenset(dst.members), src.down)
+    assert interval_isomorphism_via_permutation(top_only(2), 0, 1) == (side, side)
+    src, _ = atom_filters(2, 0, 0)
+    side = (frozenset(src.members), src.down)
+    assert interval_isomorphism_via_permutation(top_only(2), 0, 0) == (side, side)
+    src, dst = atom_filters(3, 0, 2)
+    lhs, rhs = interval_isomorphism_via_permutation(top_only(3), 0, 2)
+    assert lhs == rhs == (frozenset(dst.members), src.down)
 
 
-def test_atom_swap_counts_a_failed_check(monkeypatch):
-    # every real swap passes all its checks, so only a broken relabeling
-    # shows that the first number counts the checks made, not those passed:
-    # a "swap" that moves nothing leaves [{1}, [0,1]] in place, so the
-    # member-set check fails and the 2 ** 2 order checks pass
-    monkeypatch.setattr(poset, "apply_atom_permutation", lambda A, sigma: A)
-    assert interval_isomorphism_via_permutation(top_only(2), 0, 1) == (5, 4)
+def test_atom_swap_sides_differ_on_a_failed_check(monkeypatch):
+    # every real swap gives two equal sides, so only a broken relabeling or
+    # order shows that the right side is the image's own, not a copy of the
+    # left: a "swap" that moves nothing leaves [{1}, [0,1]] in place, so the
+    # member sets differ and the orders agree; a wrong order over the right
+    # members (an antichain) differs in the order only
+    src, dst = atom_filters(2, 0, 1)
+    with monkeypatch.context() as m:
+        m.setattr(poset, "apply_atom_permutation", lambda A, sigma: A)
+        lhs, rhs = interval_isomorphism_via_permutation(top_only(2), 0, 1)
+    assert lhs == (frozenset(dst.members), src.down)
+    assert rhs == (frozenset(src.members), src.down) != lhs
+    monkeypatch.setattr(poset, "_containment", lambda lattices: tuple(1 << i for i in range(len(lattices))))
+    lhs, rhs = interval_isomorphism_via_permutation(top_only(2), 0, 1)
+    assert rhs == (frozenset(dst.members), (1, 2)) != lhs
 
 
 def test_atom_swap_exhaustive():
@@ -729,8 +779,8 @@ def test_atom_swap_exhaustive():
             atoms = A.base.atoms
             for i, c1 in enumerate(atoms):
                 for c2 in atoms[i:]:
-                    checked, passed = interval_isomorphism_via_permutation(A, c1, c2)
-                    assert checked == passed
+                    lhs, rhs = interval_isomorphism_via_permutation(A, c1, c2)
+                    assert lhs == rhs
 
 
 def test_atom_swap_requires_atoms_below_base():
@@ -753,7 +803,7 @@ def test_equal_rank_subalgebra_intervals_match():
             below = interval(one, C)
             assert len(below) == bell[k + 1]
             assert maximal_chain_length(below) == k
-            assert mobius_oracle(below).mu_top == (-1) ** k * math.factorial(k)
+            assert mu_top(below) == (-1) ** k * math.factorial(k)
 
 
 def test_different_rank_subalgebras_have_different_interval_sizes():
