@@ -21,6 +21,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # argument lists for ``python -m implattice``
 CLI_COMMANDS = (
+    ("enumerate", "--n", "7"),
+    ("enumerate", "--n", "7", "--format", "json"),
     ("verify", "--suite", "all", "--n-max", "5"),
     ("verify", "--suite", "all", "--n-max", "5", "--format", "json"),
     ("verify", "--suite", "all", "--n-max", "6", "--format", "json"),

@@ -60,7 +60,6 @@ from .poset import (
     IntervalPoset,
     NotClosedEndpointError,
     NotComparableError,
-    ProductDecomposition,
     closed_suborder,
     closure_theorem_check,
     interval,

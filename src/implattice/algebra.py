@@ -326,7 +326,13 @@ def _set_partitions(atoms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 @cache
-def _enumerate_cached(n: int) -> tuple[ImpLattice, ...]:
+def enumerate_all(n: int) -> tuple[ImpLattice, ...]:
+    """Every implication sublattice of ``B_n``, in canonical order.
+
+    Generated directly over (base, partition of the remaining atoms) pairs,
+    so the count is Bell(n+1).  Memoized: every call with the same n returns
+    the one cached tuple.
+    """
     if n < 0:
         raise ValueError(f"atom count must be >= 0, got {n}")
     out = []
@@ -336,15 +342,6 @@ def _enumerate_cached(n: int) -> tuple[ImpLattice, ...]:
             out.append(_lattice(n, (base, part)))
     out.sort(key=ImpLattice.sort_key)
     return tuple(out)
-
-
-def enumerate_all(n: int) -> list[ImpLattice]:
-    """Every implication sublattice of ``B_n``, in canonical order.
-
-    Generated directly over (base, partition of the remaining atoms) pairs,
-    so the count is Bell(n+1).
-    """
-    return list(_enumerate_cached(n))
 
 
 def complement_closure(A: ImpLattice) -> ImpLattice:

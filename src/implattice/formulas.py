@@ -107,6 +107,7 @@ def chain_count(k: int, n: int) -> int:
     one per subset of the n - k - 1 integers strictly between, so 1 for
     n = k and 2^(n-k-1) otherwise.  The chain sums below range over these
     chains, but are evaluated by an O(n^2) recursion, not chain by chain."""
+    _check_rank_domain(k, n)
     return 1 if n == k else 2 ** (n - k - 1)
 
 

@@ -98,20 +98,13 @@ class IntervalPoset:
         return bool(self.down[j] >> i & 1)
 
     @cached_property
-    def _index(self) -> dict[ImpLattice, int]:
-        return {m: i for i, m in enumerate(self.members)}
-
-    def index_of(self, A: ImpLattice) -> int:
-        return self._index[A]
-
-    @cached_property
     def down(self) -> tuple[int, ...]:
         """``down[j]`` is a bitmask over member indices giving the members
         below member j (reflexively); it agrees with ``is_sub``.  A down-set
         is the union of those of the members it covers, so they are filled
         in block-count order."""
         members = self.members
-        index = {A.key: i for i, A in enumerate(members)}
+        index = _key_index(members)
         down = [0] * len(members)
         for j in _by_rank(members):
             mask = 1 << j
@@ -123,7 +116,7 @@ class IntervalPoset:
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (i, j) with member i covered by member j, sorted."""
-        index = {A.key: i for i, A in enumerate(self.members)}
+        index = _key_index(self.members)
         edges = [(i, j) for j, C in enumerate(self.members) for i in _covered(index, C.key)]
         edges.sort()
         return tuple(edges)
@@ -143,9 +136,14 @@ def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tupl
             yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
 
 
+def _key_index(members: tuple[ImpLattice, ...]) -> dict[tuple, int]:
+    """The member index by mask key: ``{A.key: i}``."""
+    return {A.key: i for i, A in enumerate(members)}
+
+
 def _covered(index: dict[tuple, int], C: tuple[int, tuple[int, ...]]) -> list[int]:
     """The members one move below the mask key C, that is the members C
-    covers, as their indices under ``index`` (mask key -> member index)."""
+    covers, as their indices under ``index``, a :func:`_key_index`."""
     return [i for key in _lower_moves(*C) if (i := index.get(key)) is not None]
 
 
@@ -277,27 +275,19 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[i
     return sums.get(c, 0), 0 if closed is None else closed[c]
 
 
-@dataclass(frozen=True)
-class ProductDecomposition:
-    """Factorization of ``[A, B]`` through the base of A.
+@cache
+def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, tuple[tuple[int, int], ...]]:
+    """Factorization ``(p1, p2, iso)`` of ``[A, B]`` through the base of A:
+    (subalgebras of [a,1] over A) x (all of [0,a]).
 
     Each member C splits into its part above ``a = base(A)`` (a Boolean
     subalgebra of ``[a, 1]``, relabeled onto the atoms outside a) and its
     part below a (a sublattice of ``[0, a]``, relabeled onto the atoms of a).
-    ``iso[i]`` gives the (p1, p2) member indices for whole member i; the map
-    is a bijection preserving and reflecting order, so the Mobius value of
-    the whole interval is the product of the factors'.
+    ``iso[i]`` gives the (p1, p2) member indices for member i of
+    ``interval(A, full_algebra(A.n))``; the map is a bijection preserving
+    and reflecting order, so the Mobius value of the whole interval is the
+    product of the factors'.
     """
-
-    whole: IntervalPoset
-    p1: IntervalPoset
-    p2: IntervalPoset
-    iso: tuple[tuple[int, int], ...]
-
-
-@cache
-def product_decomposition(A: ImpLattice) -> ProductDecomposition:
-    """Split ``[A, B]`` into (subalgebras of [a,1] over A) x (all of [0,a])."""
     n = A.n
     a, blocks = A.key
     # relabel the atoms outside a, and those of a, onto 0, 1, ... in order
@@ -308,33 +298,33 @@ def product_decomposition(A: ImpLattice) -> ProductDecomposition:
     lower1 = _interned(n1, 0, blocks, out_images)
     p1 = interval(lower1, full_algebra(n1))
     p2 = interval(top_only(n2), full_algebra(n2))
-    whole = interval(A, full_algebra(n))
+    index1, index2 = _key_index(p1.members), _key_index(p2.members)
 
     iso = []
-    for C in whole.members:
+    for C in interval(A, full_algebra(n)).members:
         # A <= C forces every block of C inside or outside a
         above = [b for b in C.key[1] if not b & a]
         below = [b for b in C.key[1] if b & a]
         d1 = _interned(n1, 0, above, out_images)
         d2 = _interned(n2, C.key[0], below, in_images)
-        iso.append((p1.index_of(d1), p2.index_of(d2)))
-    return ProductDecomposition(whole, p1, p2, tuple(iso))
+        iso.append((index1[d1.key], index2[d2.key]))
+    return p1, p2, tuple(iso)
 
 
-def _product_order(pd: ProductDecomposition) -> tuple[int, ...]:
+def _product_order(p1: IntervalPoset, p2: IntervalPoset, iso: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The product of the factor orders pulled back through ``iso``, as one
     down-mask per whole member: i is below j iff both factor parts of i are
     below those of j.  Each factor down-set is remapped through the preimage
     masks of its indices, so this is exact whether or not ``iso`` is a
     bijection.  A tuple, like ``down``, so the two compare whole."""
-    pre1 = [0] * len(pd.p1)
-    pre2 = [0] * len(pd.p2)
-    for i, (i1, i2) in enumerate(pd.iso):
+    pre1 = [0] * len(p1)
+    pre2 = [0] * len(p2)
+    for i, (i1, i2) in enumerate(iso):
         pre1[i1] |= 1 << i
         pre2[i2] |= 1 << i
-    down1 = [remap(d, pre1) for d in pd.p1.down]
-    down2 = [remap(d, pre2) for d in pd.p2.down]
-    return tuple(down1[i1] & down2[i2] for i1, i2 in pd.iso)
+    down1 = [remap(d, pre1) for d in p1.down]
+    down2 = [remap(d, pre2) for d in p2.down]
+    return tuple(down1[i1] & down2[i2] for i1, i2 in iso)
 
 
 def _containment(lattices: list[ImpLattice]) -> tuple[int, ...]:

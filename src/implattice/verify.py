@@ -203,19 +203,22 @@ def _claim_printed_value(n: int) -> tuple[int, int]:
 def _claim_product_pairing(n: int) -> Iterator[bool]:
     """Splitting each interval member at the base of A is an order
     isomorphism onto the product of the two factors."""
+    top = full_algebra(n)
     for A in enumerate_all(n):
-        pd = product_decomposition(A)
-        yield len(pd.whole) == len(pd.p1) * len(pd.p2)
-        yield len(set(pd.iso)) == len(pd.whole)
-        yield _product_order(pd) == pd.whole.down
+        whole = interval(A, top)
+        p1, p2, iso = product_decomposition(A)
+        yield len(whole) == len(p1) * len(p2)
+        yield len(set(iso)) == len(whole)
+        yield _product_order(p1, p2, iso) == whole.down
 
 
 def _claim_product_mu(n: int) -> Iterator[bool]:
     """mu multiplies across the factorization."""
+    top = full_algebra(n)
     for A in enumerate_all(n):
-        pd = product_decomposition(A)
-        whole, p1, p2 = (mobius_oracle(P)[P.upper_index] for P in (pd.whole, pd.p1, pd.p2))
-        yield whole == p1 * p2
+        p1, p2, _ = product_decomposition(A)
+        whole, mu1, mu2 = (mobius_oracle(P)[P.upper_index] for P in (interval(A, top), p1, p2))
+        yield whole == mu1 * mu2
 
 
 def _claim_rank_chain_vs_oracle(n: int) -> Iterator[bool]:

@@ -59,7 +59,7 @@ def clear_caches():
     from implattice import algebra, formulas, poset
 
     for fn in (
-        algebra._enumerate_cached,
+        algebra.enumerate_all,
         algebra._lattice,
         poset.interval,
         poset._closure_row,

@@ -279,7 +279,7 @@ def test_enumeration_is_canonical_and_deterministic():
     for n in range(5):
         first = enumerate_all(n)
         assert first == enumerate_all(n)
-        assert first == sorted(first, key=ImpLattice.sort_key)
+        assert list(first) == sorted(first, key=ImpLattice.sort_key)
         assert len(set(first)) == len(first)
 
 

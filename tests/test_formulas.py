@@ -117,6 +117,8 @@ def test_domain_errors():
         mu_top_closed_form(-1)
     for bad_k, bad_n in ((0, 3), (4, 3), (-1, 2)):
         with pytest.raises(ValueError):
+            chain_count(bad_k, bad_n)
+        with pytest.raises(ValueError):
             mu_rank_sum_chain(bad_k, bad_n)
         with pytest.raises(ValueError):
             mu_rank_sum_oracle(bad_k, bad_n)

@@ -25,7 +25,6 @@ from implattice.algebra import (
     principal_ultrafilter,
     top_only,
     _bits,
-    _enumerate_cached,
     _lattice,
 )
 from implattice import poset
@@ -113,7 +112,7 @@ def test_small_interval_at_the_cap_is_output_sensitive(cold_caches):
     # finding them must not enumerate the Bell(9) = 21 147 sublattices of B_8
     P = interval(principal_ultrafilter(8, 0), full_algebra(8))
     assert len(P) == 2
-    assert _enumerate_cached.cache_info().currsize == 0
+    assert enumerate_all.cache_info().currsize == 0
 
 
 def test_interval_relation_properties():
@@ -202,7 +201,9 @@ def test_whole_order_matches_is_sub_beyond_n4(n):
 
 def test_exports_build_no_order(cold_caches):
     # a poset stores its members and ends; the order is derived on first use,
-    # and the JSON and DOT exports read the members and Hasse edges only
+    # and the JSON and DOT exports read the members and Hasse edges only.  It
+    # caches exactly the three derived tuples, also once a product
+    # decomposition has looked its members up as a factor
     fields = [f.name for f in dataclasses.fields(poset.IntervalPoset)]
     assert fields == ["members", "lower_index", "upper_index"]
     P = interval(top_only(4), full_algebra(4))
@@ -211,6 +212,8 @@ def test_exports_build_no_order(cold_caches):
     assert "covers" in vars(P) and "down" not in vars(P)
     assert mu_top(P) == 24
     assert "down" in vars(P)
+    assert product_decomposition(top_only(4))[1] is P
+    assert set(vars(P)) == {"members", "lower_index", "upper_index", "covers", "down", "_mobius"}
 
 
 @pytest.mark.parametrize("closure", sorted(CLOSURES))
@@ -539,7 +542,7 @@ def poset_layer_values(order):
     ]
     checks = {i: closure_theorem_check(*theorem[i]) for i in order(range(len(theorem)))}
     small = [A for n in range(4) for A in enumerate_all(n)]
-    isos = {i: product_decomposition(small[i]).iso for i in order(range(len(small)))}
+    isos = {i: product_decomposition(small[i])[2] for i in order(range(len(small)))}
     swaps = [
         (A, c1, c2)
         for A in small
@@ -591,35 +594,34 @@ def test_poset_layer_agrees_across_threads(cold_caches):
 
 def test_product_examples():
     n = 3
-    pd = product_decomposition(full_algebra(n))
-    assert (len(pd.whole), len(pd.p1), len(pd.p2)) == (1, 1, 1)
-    pd = product_decomposition(top_only(n))
-    assert len(pd.p1) == 1
-    assert len(pd.p2) == len(interval(top_only(n), full_algebra(n)))
-    pd = product_decomposition(lat(2, [0], [1]))
-    assert (len(pd.whole), len(pd.p1), len(pd.p2)) == (2, 1, 2)
+    p1, p2, iso = product_decomposition(full_algebra(n))
+    assert (len(iso), len(p1), len(p2)) == (1, 1, 1)
+    p1, p2, iso = product_decomposition(top_only(n))
+    assert len(p1) == 1
+    assert len(p2) == len(iso) == len(interval(top_only(n), full_algebra(n)))
+    p1, p2, iso = product_decomposition(lat(2, [0], [1]))
+    assert (len(iso), len(p1), len(p2)) == (2, 1, 2)
 
 
 def test_product_is_order_isomorphism():
     for n in range(5):
         for A in enumerate_all(n):
-            pd = product_decomposition(A)
-            assert len(pd.whole) == len(pd.p1) * len(pd.p2)
-            assert len(set(pd.iso)) == len(pd.whole)
-            for i in range(len(pd.whole)):
-                i1, i2 = pd.iso[i]
-                for j in range(len(pd.whole)):
-                    j1, j2 = pd.iso[j]
-                    assert pd.whole.leq(i, j) == (
-                        pd.p1.leq(i1, j1) and pd.p2.leq(i2, j2)
-                    )
+            whole = interval(A, full_algebra(n))
+            p1, p2, iso = product_decomposition(A)
+            assert len(whole) == len(p1) * len(p2)
+            assert len(set(iso)) == len(whole)
+            for i in range(len(whole)):
+                i1, i2 = iso[i]
+                for j in range(len(whole)):
+                    j1, j2 = iso[j]
+                    assert whole.leq(i, j) == (p1.leq(i1, j1) and p2.leq(i2, j2))
 
 
 def test_product_mu_multiplies():
     for n in range(5):
         for A in enumerate_all(n):
-            pd = product_decomposition(A)
-            assert mu_top(pd.whole) == mu_top(pd.p1) * mu_top(pd.p2)
+            p1, p2, _ = product_decomposition(A)
+            assert mu_top(interval(A, full_algebra(n))) == mu_top(p1) * mu_top(p2)
 
 
 # --- orders as down-mask tuples -------------------------------------------------------
@@ -636,12 +638,11 @@ def assert_orders_agree(P, down, leq):
 def test_product_order_matches_the_pairwise_order():
     for n in range(5):
         for A in enumerate_all(n):
-            pd = product_decomposition(A)
-            iso = pd.iso
+            p1, p2, iso = product_decomposition(A)
             assert_orders_agree(
-                pd.whole,
-                _product_order(pd),
-                lambda i, j: pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1]),
+                interval(A, full_algebra(n)),
+                _product_order(p1, p2, iso),
+                lambda i, j: p1.leq(iso[i][0], iso[j][0]) and p2.leq(iso[i][1], iso[j][1]),
             )
 
 
@@ -649,17 +650,17 @@ def test_product_order_is_exact_for_any_index_map():
     # pulled back through an arbitrary map, not only the bijection
     rng = random.Random(8)
     for A in enumerate_all(3):
-        pd = product_decomposition(A)
-        iso = tuple((rng.randrange(len(pd.p1)), rng.randrange(len(pd.p2))) for _ in pd.iso)
+        p1, p2, pairs = product_decomposition(A)
+        iso = tuple((rng.randrange(len(p1)), rng.randrange(len(p2))) for _ in pairs)
         want = tuple(
             sum(
                 1 << i
                 for i in range(len(iso))
-                if pd.p1.leq(iso[i][0], iso[j][0]) and pd.p2.leq(iso[i][1], iso[j][1])
+                if p1.leq(iso[i][0], iso[j][0]) and p2.leq(iso[i][1], iso[j][1])
             )
             for j in range(len(iso))
         )
-        assert _product_order(dataclasses.replace(pd, iso=iso)) == want
+        assert _product_order(p1, p2, iso) == want
 
 
 def test_containment_matches_the_pairwise_order():
@@ -727,10 +728,10 @@ def test_every_route_returns_the_interned_lattice(cold_caches, monkeypatch):
     for n in range(5):
         for A in enumerate_all(n):
             built.clear()
-            pd = product_decomposition(A)
+            p1, p2, iso = product_decomposition(A)
             # the lower end of the first factor, then the two parts of each member
-            assert built[0] is pd.p1.lower
-            parts = [(pd.p1.members[i1], pd.p2.members[i2]) for i1, i2 in pd.iso]
+            assert built[0] is p1.lower
+            parts = [(p1.members[i1], p2.members[i2]) for i1, i2 in iso]
             assert all(a is b for a, b in zip(built[1:], [d for pair in parts for d in pair], strict=True))
 
 
