@@ -16,7 +16,10 @@ upper end, keeping the candidates above its lower end.  A poset stores only
 its members and the indices of its ends; its order and Hasse edges are
 derived on first use from one primitive, :func:`_covered`, the members one
 move below a member, never by comparing element sets.  :class:`IntervalPoset`
-states when those moves are all of the member set's covers.
+states when those moves are all of the member set's covers.  The one
+exception is :func:`_containment`, the reference order the relabeled images
+are checked against: it compares element sets on purpose, so that it shares
+no code with the moves or with ``is_sub``.
 """
 
 from __future__ import annotations
@@ -328,11 +331,28 @@ def _product_order(p1: IntervalPoset, p2: IntervalPoset, iso: tuple[tuple[int, i
 
 
 def _containment(lattices: list[ImpLattice]) -> tuple[int, ...]:
-    """The order ``is_sub`` puts on ``lattices``, as one down-mask per
-    lattice (bit i of entry j is ``is_sub(lattices[i], lattices[j])``), keys
-    built once.  A tuple, like ``down``, so the two compare whole."""
-    keys = [A.key for A in lattices]
-    return tuple(sum(1 << i for i, ki in enumerate(keys) if _sub_masks(*ki, *kj)) for kj in keys)
+    """The order of ``lattices`` (all over one B_n) by inclusion of element
+    sets, as one down-mask per lattice: bit i of entry j is set iff every
+    element of ``lattices[i]`` is an element of ``lattices[j]``.  Column e
+    holds the lattices that contain the element e, so i lies below j iff i
+    is in no column of an element outside j's: m * 2^n ORs, no pairwise
+    test.  A tuple, like ``down``, so the two compare whole."""
+    if not lattices:
+        return ()
+    n = lattices[0].n
+    col = [0] * (1 << n)
+    for i, A in enumerate(lattices):
+        for e in A._element_masks:
+            col[e] |= 1 << i
+    everyone = (1 << len(lattices)) - 1
+    every = set(range(1 << n))
+    down = []
+    for A in lattices:
+        outside = 0
+        for e in every.difference(A._element_masks):
+            outside |= col[e]
+        down.append(everyone & ~outside)
+    return tuple(down)
 
 
 def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> tuple[tuple, tuple]:

@@ -681,6 +681,17 @@ def test_containment_matches_the_pairwise_order():
                 assert_orders_agree(below, _containment(image), lambda i, j: is_sub(image[i], image[j]))
 
 
+def test_containment_matches_is_sub_on_every_pair():
+    # the whole of L_n: for n >= 1 every element of B_n, the bottom 0
+    # included, is held by some lattice and left out by another
+    for n in range(6):
+        lattices = list(enumerate_all(n))
+        m = len(lattices)
+        want = tuple(sum(1 << i for i in range(m) if is_sub(lattices[i], lattices[j])) for j in range(m))
+        assert _containment(lattices) == want
+    assert _containment([]) == ()
+
+
 # --- one intern table -----------------------------------------------------------------
 
 
