@@ -26,6 +26,7 @@ CLI_COMMANDS = (
     ("verify", "--suite", "all", "--n-max", "5"),
     ("verify", "--suite", "all", "--n-max", "5", "--format", "json"),
     ("verify", "--suite", "all", "--n-max", "6", "--format", "json"),
+    ("verify", "--suite", "all", "--n-max", "7", "--format", "json"),
     ("verify", "--suite", "lemmas", "--n-max", "7", "--format", "json"),
     ("mobius", "--n", "7"),
     ("mobius", "--n", "7", "--format", "json"),

@@ -20,6 +20,14 @@ states when those moves are all of the member set's covers.  The one
 exception is :func:`_containment`, the reference order the relabeled images
 are checked against: it compares element sets on purpose, so that it shares
 no code with the moves or with ``is_sub``.
+
+Two routes build an interval.  The walk, :func:`interval`, serves single
+queries such as the CLI's: a small interval costs its own size at any n, and
+the walk also builds the whole order L_n = [{1}, B_n].  The sweeps take
+every interval they check as a slice of L_n instead (:func:`_slice`): L_n,
+its order and its covers are built once per n by :func:`_order`, the members
+of ``[A, C]`` are the bits of ``up[A] & down[C]``, and its order is L_n's
+restricted to them.
 """
 
 from __future__ import annotations
@@ -70,16 +78,19 @@ class IntervalPoset:
     """A finite bounded subposet of the sublattice order.
 
     Stored: the members, in canonical order, and the indices of the lower and
-    upper ends.  For :func:`interval` the members are exactly
+    upper ends.  For an interval the members are exactly
     ``{D : lower <= D <= upper}``; :func:`closed_suborder` restricts them to
-    closure fixed points.  Derived on first use and cached on the poset, as
+    closure fixed points.  The walk, :func:`interval`, builds L_n and serves
+    single queries; the sweeps take their intervals as slices of the per-n
+    order (:func:`_slice`).  Derived on first use and cached on the poset, as
     plain tuples: the order ``down``, the Hasse edges ``covers`` and the
     Mobius values.  The first two read each member's covers off
     :func:`_covered`, so every cover of the member set must be one merge of
     two blocks or one absorb of a block into the base.  That holds for an
     interval, which is convex, and for the closed suborders: Boolean
     subalgebras step by merges, principal filters by absorbing a singleton
-    block.
+    block.  The posets the sweeps build, slices and closed suborders, read
+    those covers off L_n's instead (:class:`_Restricted`).
     """
 
     members: tuple[ImpLattice, ...]
@@ -103,18 +114,9 @@ class IntervalPoset:
     @cached_property
     def down(self) -> tuple[int, ...]:
         """``down[j]`` is a bitmask over member indices giving the members
-        below member j (reflexively); it agrees with ``is_sub``.  A down-set
-        is the union of those of the members it covers, so they are filled
-        in block-count order."""
-        members = self.members
-        index = _key_index(members)
-        down = [0] * len(members)
-        for j in _by_rank(members):
-            mask = 1 << j
-            for i in _covered(index, members[j].key):
-                mask |= down[i]
-            down[j] = mask
-        return tuple(down)
+        below member j (reflexively); it agrees with ``is_sub``."""
+        index = _key_index(self.members)
+        return _down_sets(self.members, [_covered(index, C.key) for C in self.members])
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -155,6 +157,19 @@ def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
     return sorted(range(len(members)), key=lambda i: members[i].w)
 
 
+def _down_sets(members: tuple[ImpLattice, ...], covered: list[list[int]]) -> tuple[int, ...]:
+    """The down-set masks of ``members``, given the indices each member
+    covers.  A down-set is the union of those of the members it covers, so
+    they are filled in block-count order."""
+    down = [0] * len(members)
+    for j in _by_rank(members):
+        mask = 1 << j
+        for i in covered[j]:
+            mask |= down[i]
+        down[j] = mask
+    return tuple(down)
+
+
 @cache
 def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """Materialize ``[lower, upper]`` in the sublattice order.
@@ -181,6 +196,53 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
                     kept.append(key)
     members = tuple(sorted((_lattice(n, key) for key in kept), key=ImpLattice.sort_key))
     return IntervalPoset(members, members.index(lower), members.index(upper))
+
+
+@cache
+def _order(n: int) -> tuple[IntervalPoset, dict, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The whole order L_n = [{1}, B_n], built once per n by the walk, as
+    ``(L, index, up, covered)``: L_n itself, whose members are
+    ``enumerate_all(n)`` in canonical order, so that bit order over its
+    indices is member order; its member index by mask key; its up-sets,
+    ``L.down`` transposed; and the indices each member covers."""
+    L = interval(top_only(n), full_algebra(n))
+    index = _key_index(L.members)
+    up = [0] * len(L)
+    for j, d in enumerate(L.down):
+        for i in _bits(d):
+            up[i] |= 1 << j
+    covered = tuple(tuple(_covered(index, A.key)) for A in L.members)
+    return L, index, tuple(up), covered
+
+
+class _Restricted(IntervalPoset):
+    """A subposet of L_n whose covers are covers of L_n, as those of an
+    interval and of a closed suborder are: the same stored fields, and
+    ``down`` read off L_n's covers, restricted to the members, instead of
+    off moves generated again."""
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        _, index, _, covered = _order(self.lower.n)
+        at = [index[A.key] for A in self.members]
+        local = {g: i for i, g in enumerate(at)}
+        return _down_sets(self.members, [[local[g] for g in covered[k] if g in local] for k in at])
+
+
+@cache
+def _slice(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
+    """``[lower, upper]`` as a slice of the per-n order: the members of L_n
+    in ``up[lower] & down[upper]``.  They come out in canonical order, so a
+    slice has the members and end indices :func:`interval` gives."""
+    L, index, up, _ = _order(upper.n)
+    a, c = index[lower.key], index[upper.key]
+    if not up[a] >> c & 1:
+        raise NotComparableError("interval endpoints must satisfy lower <= upper")
+    inside = up[a] & L.down[c]
+    members = tuple(L.members[g] for g in _bits(inside))
+    lower_index = (inside & ((1 << a) - 1)).bit_count()
+    upper_index = (inside & ((1 << c) - 1)).bit_count()
+    return _Restricted(members, lower_index, upper_index)
 
 
 def _fold_below(
@@ -221,8 +283,8 @@ def mobius_oracle(poset: IntervalPoset) -> tuple[int, ...]:
 
 
 def mobius_between(lower: ImpLattice, upper: ImpLattice) -> int:
-    """Convenience: mu(lower, upper) via the oracle."""
-    P = interval(lower, upper)
+    """Convenience: mu(lower, upper) via the oracle, on a slice."""
+    P = _slice(lower, upper)
     return mobius_oracle(P)[P.upper_index]
 
 
@@ -234,12 +296,13 @@ def _closure(name: str) -> Callable[[ImpLattice], ImpLattice]:
 
 
 def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
-    """The fixed points of a closure operator between two closed bounds."""
+    """The fixed points of a closure operator between two closed bounds,
+    taken from the slice ``[lower, upper]``."""
     cl = _closure(closure)
     if cl(lower) != lower or cl(upper) != upper:
         raise NotClosedEndpointError("closed-suborder endpoints must be closure fixed points")
-    members = tuple(D for D in interval(lower, upper).members if cl(D) == D)
-    return IntervalPoset(members, members.index(lower), members.index(upper))
+    members = tuple(D for D in _slice(lower, upper).members if cl(D) == D)
+    return _Restricted(members, members.index(lower), members.index(upper))
 
 
 @cache
@@ -248,7 +311,7 @@ def _closure_row(closure: str, y: ImpLattice) -> tuple[dict, dict | None]:
     of ``mu(y, x)`` over [y, B_n] by closure of x, and ``mu(y, c)`` in the
     closed suborder [y, B_n] for each member c when y is closed, else None."""
     cl = _closure(closure)
-    whole = interval(y, full_algebra(y.n))
+    whole = _slice(y, full_algebra(y.n))
     sums: dict[ImpLattice, int] = {}
     for x, mu in zip(whole.members, mobius_oracle(whole)):
         c = cl(x)
@@ -287,7 +350,7 @@ def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, 
     subalgebra of ``[a, 1]``, relabeled onto the atoms outside a) and its
     part below a (a sublattice of ``[0, a]``, relabeled onto the atoms of a).
     ``iso[i]`` gives the (p1, p2) member indices for member i of
-    ``interval(A, full_algebra(A.n))``; the map is a bijection preserving
+    ``_slice(A, full_algebra(A.n))``; the map is a bijection preserving
     and reflecting order, so the Mobius value of the whole interval is the
     product of the factors'.
     """
@@ -299,12 +362,12 @@ def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, 
     n1, n2 = len(out_images), len(in_images)
 
     lower1 = _interned(n1, 0, blocks, out_images)
-    p1 = interval(lower1, full_algebra(n1))
+    p1 = _slice(lower1, full_algebra(n1))
     p2 = interval(top_only(n2), full_algebra(n2))
     index1, index2 = _key_index(p1.members), _key_index(p2.members)
 
     iso = []
-    for C in interval(A, full_algebra(n)).members:
+    for C in _slice(A, full_algebra(n)).members:
         # A <= C forces every block of C inside or outside a
         above = [b for b in C.key[1] if not b & a]
         below = [b for b in C.key[1] if b & a]
@@ -372,8 +435,8 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> tup
             raise AtomNotBelowBaseError(f"atom {c} is not below the base of {lattice_to_json(A)}")
     sigma = list(range(n))
     sigma[c1], sigma[c2] = sigma[c2], sigma[c1]
-    src = interval(A, principal_ultrafilter(n, c1))
-    dst = interval(A, principal_ultrafilter(n, c2))
+    src = _slice(A, principal_ultrafilter(n, c1))
+    dst = _slice(A, principal_ultrafilter(n, c2))
     image = [apply_atom_permutation(m, sigma) for m in src.members]
     return (frozenset(dst.members), src.down), (frozenset(image), _containment(image))
 

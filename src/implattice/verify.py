@@ -51,6 +51,7 @@ from .poset import (
     product_decomposition,
     _containment,
     _product_order,
+    _slice,
 )
 
 SUITES = ("closures", "method1", "method2", "product", "pkb", "lemmas")
@@ -126,7 +127,7 @@ def _closure_axioms(close, n: int) -> Iterator[bool]:
     top = full_algebra(n)
     for A1 in lattices:
         c1 = close(A1)
-        for A2 in interval(A1, top).members:
+        for A2 in _slice(A1, top).members:
             yield is_sub(c1, close(A2))
 
 
@@ -163,7 +164,7 @@ def _closure_theorem(closure: str, n: int) -> Iterator[bool]:
     """Mobius/closure identity for the named closure, all pairs y <= z."""
     top = full_algebra(n)
     for y in enumerate_all(n):
-        for z in interval(y, top).members:
+        for z in _slice(y, top).members:
             lhs, rhs = closure_theorem_check(closure, y, z)
             yield lhs == rhs
 
@@ -205,7 +206,7 @@ def _claim_product_pairing(n: int) -> Iterator[bool]:
     isomorphism onto the product of the two factors."""
     top = full_algebra(n)
     for A in enumerate_all(n):
-        whole = interval(A, top)
+        whole = _slice(A, top)
         p1, p2, iso = product_decomposition(A)
         yield len(whole) == len(p1) * len(p2)
         yield len(set(iso)) == len(whole)
@@ -217,7 +218,7 @@ def _claim_product_mu(n: int) -> Iterator[bool]:
     top = full_algebra(n)
     for A in enumerate_all(n):
         p1, p2, _ = product_decomposition(A)
-        whole, mu1, mu2 = (mobius_oracle(P)[P.upper_index] for P in (interval(A, top), p1, p2))
+        whole, mu1, mu2 = (mobius_oracle(P)[P.upper_index] for P in (_slice(A, top), p1, p2))
         yield whole == mu1 * mu2
 
 
@@ -318,7 +319,7 @@ def _claim_subalgebra_relabel(n: int) -> Iterator[bool]:
         if not is_boolean_subalgebra(C):
             continue
         k = C.w
-        below = interval(one, C)
+        below = _slice(one, C)
         image = [_contract(C, D) for D in below.members]
         yield set(image) == set(enumerate_all(k))
         yield _containment(image) == below.down

@@ -83,6 +83,18 @@ def test_mobius_chain_interval(capsys):
     assert "agree=yes" in out
 
 
+def test_single_query_builds_no_per_n_order(capsys, cold_caches):
+    # a CLI query walks its own interval; the sweeps' per-n order would
+    # enumerate all Bell(9) = 21 147 sublattices of B_8 for a two-member answer
+    lower = algebra.lattice_to_json(algebra.principal_ultrafilter(8, 0))
+    code, out = run_cli(capsys, "mobius", "--lower", lower)
+    assert code == 0
+    assert "mu_oracle=-1" in out
+    assert poset._order.cache_info().currsize == 0
+    assert poset._slice.cache_info().currsize == 0
+    assert algebra.enumerate_all.cache_info().currsize == 0
+
+
 def test_mobius_incomparable_is_usage_error(capsys):
     code = main(
         [

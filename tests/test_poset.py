@@ -216,6 +216,41 @@ def test_exports_build_no_order(cold_caches):
     assert set(vars(P)) == {"members", "lower_index", "upper_index", "covers", "down", "_mobius"}
 
 
+def test_slice_equals_the_walk_every_interval(cold_caches):
+    # a slice of the per-n order is the interval the walk builds, field by
+    # field, with the same order and Hasse edges, for every comparable pair
+    for n in range(5):
+        lattices = enumerate_all(n)
+        for lower in lattices:
+            for upper in lattices:
+                if not is_sub(lower, upper):
+                    with pytest.raises(NotComparableError):
+                        poset._slice(lower, upper)
+                    continue
+                S, P = poset._slice(lower, upper), interval(lower, upper)
+                assert (S.members, S.lower_index, S.upper_index) == (
+                    P.members,
+                    P.lower_index,
+                    P.upper_index,
+                )
+                assert S.down == P.down
+                assert S.covers == P.covers
+
+
+def test_per_n_order_is_is_sub_both_ways():
+    # up[i] holds the members above member i, down[j] those below member j,
+    # each reflexively, over the members of L_n in canonical order
+    for n in range(5):
+        L, index, up, covered = poset._order(n)
+        lattices = enumerate_all(n)
+        assert L.members == lattices
+        assert index == {A.key: i for i, A in enumerate(lattices)}
+        for i, A in enumerate(lattices):
+            assert up[i] == sum(1 << j for j, C in enumerate(lattices) if is_sub(A, C))
+            assert L.down[i] == sum(1 << j for j, D in enumerate(lattices) if is_sub(D, A))
+            assert sorted(covered[i]) == [k for k, j in L.covers if j == i]
+
+
 @pytest.mark.parametrize("closure", sorted(CLOSURES))
 def test_graded_order_matches_containment_closed_suborders(closure):
     cl = CLOSURES[closure]
