@@ -27,7 +27,8 @@ the walk also builds the whole order L_n = [{1}, B_n].  The sweeps take
 every interval they check as a slice of L_n instead (:func:`_slice`): L_n,
 its order and its covers are built once per n by :func:`_order`, the members
 of ``[A, C]`` are the bits of ``up[A] & down[C]``, and its order is L_n's
-restricted to them.
+restricted to them.  The closure sweeps likewise close each member of L_n
+once per closure (:func:`_closed`) and read closures as L_n indices.
 """
 
 from __future__ import annotations
@@ -229,19 +230,26 @@ class _Restricted(IntervalPoset):
         return _down_sets(self.members, [[local[g] for g in covered[k] if g in local] for k in at])
 
 
-@cache
-def _slice(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
-    """``[lower, upper]`` as a slice of the per-n order: the members of L_n
-    in ``up[lower] & down[upper]``.  They come out in canonical order, so a
-    slice has the members and end indices :func:`interval` gives."""
+def _inside(lower: ImpLattice, upper: ImpLattice) -> int:
+    """The L_n indices of ``[lower, upper]`` as one mask,
+    ``up[lower] & down[upper]``."""
     L, index, up, _ = _order(upper.n)
     a, c = index[lower.key], index[upper.key]
     if not up[a] >> c & 1:
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
-    inside = up[a] & L.down[c]
+    return up[a] & L.down[c]
+
+
+@cache
+def _slice(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
+    """``[lower, upper]`` as a slice of the per-n order: the members of L_n
+    in :func:`_inside`.  They come out in canonical order, so a slice has
+    the members and end indices :func:`interval` gives."""
+    L, index, _, _ = _order(upper.n)
+    inside = _inside(lower, upper)
     members = tuple(L.members[g] for g in _bits(inside))
-    lower_index = (inside & ((1 << a) - 1)).bit_count()
-    upper_index = (inside & ((1 << c) - 1)).bit_count()
+    lower_index = (inside & ((1 << index[lower.key]) - 1)).bit_count()
+    upper_index = (inside & ((1 << index[upper.key]) - 1)).bit_count()
     return _Restricted(members, lower_index, upper_index)
 
 
@@ -295,31 +303,48 @@ def _closure(name: str) -> Callable[[ImpLattice], ImpLattice]:
     return cl
 
 
+@cache
+def _closed(closure: str, n: int) -> tuple[int, ...]:
+    """The closure index of L_n: ``cl[g]`` is the L_n index of the closure
+    of L_n's member g.  The closure function runs once per member."""
+    close = _closure(closure)
+    L, index, _, _ = _order(n)
+    return tuple(index[close(A).key] for A in L.members)
+
+
 def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
-    """The fixed points of a closure operator between two closed bounds,
-    taken from the slice ``[lower, upper]``."""
-    cl = _closure(closure)
-    if cl(lower) != lower or cl(upper) != upper:
+    """The fixed points of a closure operator between two closed bounds:
+    the members g of the slice ``[lower, upper]`` with ``cl[g] == g`` in the
+    closure index :func:`_closed`."""
+    close = _closure(closure)
+    if close(lower) != lower or close(upper) != upper:
         raise NotClosedEndpointError("closed-suborder endpoints must be closure fixed points")
-    members = tuple(D for D in _slice(lower, upper).members if cl(D) == D)
+    L = _order(upper.n)[0]
+    cl = _closed(closure, upper.n)
+    members = tuple(L.members[g] for g in _bits(_inside(lower, upper)) if cl[g] == g)
     return _Restricted(members, members.index(lower), members.index(upper))
 
 
 @cache
 def _closure_row(closure: str, y: ImpLattice) -> tuple[dict, dict | None]:
-    """The closure-theorem row of (closure, y), keyed by lattice: the sums
-    of ``mu(y, x)`` over [y, B_n] by closure of x, and ``mu(y, c)`` in the
-    closed suborder [y, B_n] for each member c when y is closed, else None."""
-    cl = _closure(closure)
-    whole = _slice(y, full_algebra(y.n))
-    sums: dict[ImpLattice, int] = {}
-    for x, mu in zip(whole.members, mobius_oracle(whole)):
-        c = cl(x)
+    """The closure-theorem row of (closure, y), keyed by L_n index: the sums
+    of ``mu(y, x)`` over [y, B_n] by the index ``cl[x]`` of the closure of
+    x, and ``mu(y, c)`` in the closed suborder [y, B_n] for each member c,
+    by c's index, when y is closed, else None.  The members of [y, B_n] are
+    the bits of ``up[y]``, in slice order."""
+    n = y.n
+    _, index, up, _ = _order(n)
+    cl = _closed(closure, n)
+    g = index[y.key]
+    whole = _slice(y, full_algebra(n))
+    sums: dict[int, int] = {}
+    for x, mu in zip(_bits(up[g]), mobius_oracle(whole)):
+        c = cl[x]
         sums[c] = sums.get(c, 0) + mu
-    if cl(y) != y:
+    if cl[g] != g:
         return sums, None
     sub = closed_suborder(closure, y, whole.upper)  # both closures fix B_n
-    return sums, dict(zip(sub.members, mobius_oracle(sub)))
+    return sums, {index[D.key]: mu for D, mu in zip(sub.members, mobius_oracle(sub))}
 
 
 def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[int, int]:
@@ -329,7 +354,8 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[i
     lhs sums ``mu(y, x)`` over all x in [y, B] whose closure equals the
     closure of z; rhs is the Mobius function of the closed suborder from y to
     cl(z) when y is itself closed, and 0 otherwise.  Both are read from one
-    row per (closure, y), built once over [y, B].  The Mobius function is
+    row per (closure, y), built once over [y, B], at the L_n index of cl(z),
+    which the closure index :func:`_closed` gives.  The Mobius function is
     local to an interval: the closed suborder from y to cl(z) is the
     down-set of cl(z) in the closed suborder from y to B, so its top value
     is the row's value at cl(z).
@@ -337,7 +363,7 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[i
     if not is_sub(y, z):
         raise NotComparableError("closure identity needs y <= z")
     sums, closed = _closure_row(closure, y)
-    c = _closure(closure)(z)
+    c = _closed(closure, z.n)[_order(z.n)[1][z.key]]
     return sums.get(c, 0), 0 if closed is None else closed[c]
 
 
@@ -349,10 +375,12 @@ def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, 
     Each member C splits into its part above ``a = base(A)`` (a Boolean
     subalgebra of ``[a, 1]``, relabeled onto the atoms outside a) and its
     part below a (a sublattice of ``[0, a]``, relabeled onto the atoms of a).
-    ``iso[i]`` gives the (p1, p2) member indices for member i of
-    ``_slice(A, full_algebra(A.n))``; the map is a bijection preserving
-    and reflecting order, so the Mobius value of the whole interval is the
-    product of the factors'.
+    The first part depends only on C's blocks outside a, the second only on
+    C's base and its blocks inside a, so each distinct part is relabeled
+    once, ``len(p1) + len(p2)`` in all.  ``iso[i]`` gives the (p1, p2)
+    member indices for member i of ``_slice(A, full_algebra(A.n))``; the
+    map is a bijection preserving and reflecting order, so the Mobius value
+    of the whole interval is the product of the factors'.
     """
     n = A.n
     a, blocks = A.key
@@ -366,15 +394,13 @@ def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, 
     p2 = interval(top_only(n2), full_algebra(n2))
     index1, index2 = _key_index(p1.members), _key_index(p2.members)
 
-    iso = []
-    for C in _slice(A, full_algebra(n)).members:
-        # A <= C forces every block of C inside or outside a
-        above = [b for b in C.key[1] if not b & a]
-        below = [b for b in C.key[1] if b & a]
-        d1 = _interned(n1, 0, above, out_images)
-        d2 = _interned(n2, C.key[0], below, in_images)
-        iso.append((index1[d1.key], index2[d2.key]))
-    return p1, p2, tuple(iso)
+    keys = [C.key for C in _slice(A, full_algebra(n)).members]
+    # A <= C forces every block of C inside or outside a
+    above = [tuple(b for b in bs if not b & a) for _, bs in keys]
+    below = [(base, tuple(b for b in bs if b & a)) for base, bs in keys]
+    first = {k: index1[_interned(n1, 0, k, out_images).key] for k in dict.fromkeys(above)}
+    second = {k: index2[_interned(n2, *k, in_images).key] for k in dict.fromkeys(below)}
+    return p1, p2, tuple((first[k1], second[k2]) for k1, k2 in zip(above, below))
 
 
 def _product_order(p1: IntervalPoset, p2: IntervalPoset, iso: tuple[tuple[int, int], ...]) -> tuple[int, ...]:

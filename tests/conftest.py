@@ -54,8 +54,8 @@ def brute_chains(n, k):
 def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
     hold the posets, and so their cached orders, Mobius values and covers, the
-    per-n orders the slices are cut from, the product decompositions and the
-    interned lattices) and the Stirling and
+    per-n orders the slices are cut from, the per-n closure indices, the
+    product decompositions and the interned lattices) and the Stirling and
     composition row tables, trimmed back to row 0."""
     from implattice import algebra, formulas, poset
 
@@ -65,6 +65,7 @@ def clear_caches():
         poset.interval,
         poset._order,
         poset._slice,
+        poset._closed,
         poset._closure_row,
         poset.product_decomposition,
         formulas._rank_chain_value,

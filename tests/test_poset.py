@@ -45,9 +45,11 @@ from implattice.poset import (
     mobius_between,
     mobius_oracle,
     product_decomposition,
+    _closed,
     _closure_row,
     _containment,
     _fold_below,
+    _order,
     _product_order,
 )
 from implattice.verify import _contract
@@ -439,6 +441,20 @@ def test_closure_theorem_all_pairs(closure):
                     assert lhs == rhs
 
 
+@pytest.mark.parametrize("closure", sorted(CLOSURES))
+def test_closure_index_is_the_closure_of_each_member(closure):
+    # cl[g] is the L_n index of the closure of member g: the closure
+    # function's own (interned) lattice, a fixed point, and above g
+    for n in range(6):
+        L, _, up, _ = _order(n)
+        cl = _closed(closure, n)
+        assert len(cl) == len(L)
+        for g, A in enumerate(L.members):
+            assert L.members[cl[g]] is CLOSURES[closure](A)
+            assert cl[cl[g]] == cl[g]
+            assert up[g] >> cl[g] & 1
+
+
 def closure_theorem_reference(closure, y, z, n):
     """(lhs, rhs) of the closure identity the direct way: rescan [y, B_n]
     for the members whose closure is cl(z), and build the closed suborder
@@ -775,10 +791,14 @@ def test_every_route_returns_the_interned_lattice(cold_caches, monkeypatch):
         for A in enumerate_all(n):
             built.clear()
             p1, p2, iso = product_decomposition(A)
-            # the lower end of the first factor, then the two parts of each member
+            # the lower end of the first factor, then each distinct part once:
+            # a member's parts depend only on its blocks and base, and every
+            # member of each factor is one member's part
             assert built[0] is p1.lower
-            parts = [(p1.members[i1], p2.members[i2]) for i1, i2 in iso]
-            assert all(a is b for a, b in zip(built[1:], [d for pair in parts for d in pair], strict=True))
+            assert all(d is _lattice(d.n, d.key) for d in built)
+            assert len(built) == 1 + len(p1) + len(p2)
+            parts = {id(d) for i1, i2 in iso for d in (p1.members[i1], p2.members[i2])}
+            assert parts == {id(d) for d in built[1:]}
 
 
 # --- relabeling isomorphisms ----------------------------------------------------------
