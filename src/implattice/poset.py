@@ -14,12 +14,13 @@ lattice cover plus a base move).  The same moves give the members, the order
 and the Hasse edges.  The members of an interval are walked down from its
 upper end, keeping the candidates above its lower end.  A poset stores only
 its members and the indices of its ends; its order and Hasse edges are
-derived on first use from one primitive, :func:`_covered`, the members one
-move below a member, never by comparing element sets.  :class:`IntervalPoset`
-states when those moves are all of the member set's covers.  The one
-exception is :func:`_containment`, the reference order the relabeled images
-are checked against: it compares element sets on purpose, so that it shares
-no code with the moves or with ``is_sub``.
+derived on first use from one primitive, its cover lists: the members one
+move below each member, which the walk records as it goes (else
+:func:`_covered` makes the moves again), never by comparing element sets.
+:class:`IntervalPoset` states when those moves are all of the member set's
+covers.  The one exception is :func:`_containment`, the reference order the
+relabeled images are checked against: it compares element sets on purpose,
+so that it shares no code with the moves or with ``is_sub``.
 
 Two routes build an interval.  The walk, :func:`interval`, serves single
 queries such as the CLI's: a small interval costs its own size at any n, and
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     ImpLattice,
@@ -85,13 +86,13 @@ class IntervalPoset:
     single queries; the sweeps take their intervals as slices of the per-n
     order (:func:`_slice`).  Derived on first use and cached on the poset, as
     plain tuples: the order ``down``, the Hasse edges ``covers`` and the
-    Mobius values.  The first two read each member's covers off
-    :func:`_covered`, so every cover of the member set must be one merge of
+    Mobius values.  The first two read the cover lists, the members one move
+    below each member, so every cover of the member set must be one merge of
     two blocks or one absorb of a block into the base.  That holds for an
     interval, which is convex, and for the closed suborders: Boolean
     subalgebras step by merges, principal filters by absorbing a singleton
-    block.  The posets the sweeps build, slices and closed suborders, read
-    those covers off L_n's instead (:class:`_Restricted`).
+    block.  The walk caches the lists it found on its poset; the posets the
+    sweeps build read them off L_n's on each use (:class:`_Restricted`).
     """
 
     members: tuple[ImpLattice, ...]
@@ -113,19 +114,22 @@ class IntervalPoset:
         return bool(self.down[j] >> i & 1)
 
     @cached_property
+    def _cover_lists(self) -> tuple[tuple[int, ...], ...]:
+        """The indices of the members each member covers, in move order: the
+        walk's own when it built the poset, else :func:`_covered`'s."""
+        index = _key_index(self.members)
+        return tuple(tuple(_covered(index, C.key)) for C in self.members)
+
+    @cached_property
     def down(self) -> tuple[int, ...]:
         """``down[j]`` is a bitmask over member indices giving the members
         below member j (reflexively); it agrees with ``is_sub``."""
-        index = _key_index(self.members)
-        return _down_sets(self.members, [_covered(index, C.key) for C in self.members])
+        return _fill(self._cover_lists, _by_rank(self.members))
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (i, j) with member i covered by member j, sorted."""
-        index = _key_index(self.members)
-        edges = [(i, j) for j, C in enumerate(self.members) for i in _covered(index, C.key)]
-        edges.sort()
-        return tuple(edges)
+        return tuple([(i, j) for i, js in enumerate(_transpose(self._cover_lists)) for j in js])
 
     @cached_property
     def _mobius(self) -> tuple[int, ...]:
@@ -158,17 +162,26 @@ def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
     return sorted(range(len(members)), key=lambda i: members[i].w)
 
 
-def _down_sets(members: tuple[ImpLattice, ...], covered: list[list[int]]) -> tuple[int, ...]:
-    """The down-set masks of ``members``, given the indices each member
-    covers.  A down-set is the union of those of the members it covers, so
-    they are filled in block-count order."""
-    down = [0] * len(members)
-    for j in _by_rank(members):
+def _fill(lists: Sequence[Sequence[int]], order: Iterable[int]) -> tuple[int, ...]:
+    """Reflexive masks: bit j and the masks of the indices in ``lists[j]``,
+    filled in ``order``.  Cover lists in block-count order give the
+    down-sets; the lists transposed, in reverse order, the up-sets."""
+    masks = [0] * len(lists)
+    for j in order:
         mask = 1 << j
-        for i in covered[j]:
-            mask |= down[i]
-        down[j] = mask
-    return tuple(down)
+        for i in lists[j]:
+            mask |= masks[i]
+        masks[j] = mask
+    return tuple(masks)
+
+
+def _transpose(lists: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``out[i]`` lists, ascending, the indices j with i in ``lists[j]``."""
+    out: list[list[int]] = [[] for _ in lists]
+    for j, js in enumerate(lists):
+        for i in js:
+            out[i].append(j)
+    return out
 
 
 @cache
@@ -181,22 +194,32 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     inside it leads from upper to each member.  Only the members' one-move
     neighbours are tested, on their mask keys, so a small interval is cheap
     at any n, and lattices are built (once per key, by ``_lattice``) for
-    the kept members only.
+    the kept members only.  The kept keys one move below a member, reached
+    before or not, are its covers; the poset keeps them as its cover lists.
     """
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
     n = upper.n
     low = lower.key
     kept = [upper.key]
-    seen = set(kept)
+    seen = {upper.key: 0}  # walk position of each key tested, None if rejected
+    moves = []  # per kept key, the walk positions of the kept keys it covers
     for C in kept:  # grows as the walk keeps members
+        moves.append(below := [])
         for key in _lower_moves(*C):
-            if key not in seen:
-                seen.add(key)
-                if _sub_masks(*low, *key):
+            p = seen.get(key, -1)
+            if p == -1:
+                p = seen[key] = len(kept) if _sub_masks(*low, *key) else None
+                if p is not None:
                     kept.append(key)
-    members = tuple(sorted((_lattice(n, key) for key in kept), key=ImpLattice.sort_key))
-    return IntervalPoset(members, members.index(lower), members.index(upper))
+            if p is not None:
+                below.append(p)
+    lattices = [_lattice(n, key) for key in kept]
+    order = sorted(range(len(kept)), key=lambda p: lattices[p].sort_key())
+    rank = {p: i for i, p in enumerate(order)}
+    P = IntervalPoset(tuple(lattices[p] for p in order), rank[seen[low]], rank[0])
+    vars(P)["_cover_lists"] = tuple(tuple([rank[q] for q in moves[p]]) for p in order)
+    return P
 
 
 @cache
@@ -205,29 +228,25 @@ def _order(n: int) -> tuple[IntervalPoset, dict, tuple[int, ...], tuple[tuple[in
     ``(L, index, up, covered)``: L_n itself, whose members are
     ``enumerate_all(n)`` in canonical order, so that bit order over its
     indices is member order; its member index by mask key; its up-sets,
-    ``L.down`` transposed; and the indices each member covers."""
+    filled from the transposed cover lists, top block count first; and the
+    indices each member covers, the walk's cover lists."""
     L = interval(top_only(n), full_algebra(n))
-    index = _key_index(L.members)
-    up = [0] * len(L)
-    for j, d in enumerate(L.down):
-        for i in _bits(d):
-            up[i] |= 1 << j
-    covered = tuple(tuple(_covered(index, A.key)) for A in L.members)
-    return L, index, tuple(up), covered
+    up = _fill(_transpose(L._cover_lists), reversed(_by_rank(L.members)))
+    return L, _key_index(L.members), up, L._cover_lists
 
 
 class _Restricted(IntervalPoset):
     """A subposet of L_n whose covers are covers of L_n, as those of an
-    interval and of a closed suborder are: the same stored fields, and
-    ``down`` read off L_n's covers, restricted to the members, instead of
-    off moves generated again."""
+    interval and of a closed suborder are: the same stored fields, and cover
+    lists read off L_n's, restricted to the members, on each use: the sweeps
+    hold many slices, and caching their lists would cost memory."""
 
-    @cached_property
-    def down(self) -> tuple[int, ...]:
+    @property
+    def _cover_lists(self) -> list[list[int]]:
         _, index, _, covered = _order(self.lower.n)
         at = [index[A.key] for A in self.members]
         local = {g: i for i, g in enumerate(at)}
-        return _down_sets(self.members, [[local[g] for g in covered[k] if g in local] for k in at])
+        return [[local[g] for g in covered[k] if g in local] for k in at]
 
 
 def _inside(lower: ImpLattice, upper: ImpLattice) -> int:
@@ -495,12 +514,12 @@ def _json_items(items: list[str], pad: str, brackets: str = "[]") -> str:
     return brackets[0] + sep[1:] + sep.join(items) + "\n" + pad + brackets[1]
 
 
-def _lattice_json(doc: dict, pad: str) -> str:
+def _lattice_json(doc: dict, pad: str, atoms: Callable[[tuple[int, ...], str], str]) -> str:
     inner = pad + "  "
-    blocks = [_json_items([str(a) for a in block], inner + "  ") for block in doc["blocks"]]
+    blocks = [atoms(tuple(block), inner + "  ") for block in doc["blocks"]]
     fields = [
         f'"n": {doc["n"]}',
-        f'"base": {_json_items([str(a) for a in doc["base"]], inner)}',
+        f'"base": {atoms(tuple(doc["base"]), inner)}',
         f'"blocks": {_json_items(blocks, inner)}',
     ]
     return _json_items(fields, pad, "{}")
@@ -510,13 +529,15 @@ def interval_to_json(poset: IntervalPoset) -> str:
     """``json.dumps(interval_to_dict(poset), indent=2)``, byte for byte,
     rendered by joins that know the interval schema (objects of ``n``,
     ``base`` and ``blocks``, lists of ints) instead of by the general
-    encoder, which has no C path for ``indent``."""
+    encoder, which has no C path for ``indent``.  Each distinct atom list is
+    rendered once per indentation, by a memo that lives for one call."""
     doc = interval_to_dict(poset)
-    members = [_lattice_json(m, "    ") for m in doc["members"]]
+    atoms = cache(lambda xs, pad: _json_items([str(a) for a in xs], pad))
+    members = [_lattice_json(m, "    ", atoms) for m in doc["members"]]
     edges = [f"[\n      {i},\n      {j}\n    ]" for i, j in doc["cover_edges"]]
     fields = [
-        f'"lower": {_lattice_json(doc["lower"], "  ")}',
-        f'"upper": {_lattice_json(doc["upper"], "  ")}',
+        f'"lower": {_lattice_json(doc["lower"], "  ", atoms)}',
+        f'"upper": {_lattice_json(doc["upper"], "  ", atoms)}',
         f'"members": {_json_items(members, "  ")}',
         f'"cover_edges": {_json_items(edges, "  ")}',
     ]

@@ -457,8 +457,8 @@ def test_output_digest_commands_parse():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     parser = cli.build_parser()
-    assert digests.CLI_COMMANDS
-    for argv in digests.CLI_COMMANDS:
+    assert digests.CLI_COMMANDS and digests.N8_COMMANDS
+    for argv in digests.CLI_COMMANDS + digests.N8_COMMANDS:
         parser.parse_args(list(argv))
     for script, *_ in digests.SCRIPT_COMMANDS:
         assert (root / script).is_file()

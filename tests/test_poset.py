@@ -204,8 +204,9 @@ def test_whole_order_matches_is_sub_beyond_n4(n):
 def test_exports_build_no_order(cold_caches):
     # a poset stores its members and ends; the order is derived on first use,
     # and the JSON and DOT exports read the members and Hasse edges only.  It
-    # caches exactly the three derived tuples, also once a product
-    # decomposition has looked its members up as a factor
+    # caches exactly the three derived tuples and the cover lists the walk
+    # handed over, also once a product decomposition has looked its members
+    # up as a factor
     fields = [f.name for f in dataclasses.fields(poset.IntervalPoset)]
     assert fields == ["members", "lower_index", "upper_index"]
     P = interval(top_only(4), full_algebra(4))
@@ -215,7 +216,7 @@ def test_exports_build_no_order(cold_caches):
     assert mu_top(P) == 24
     assert "down" in vars(P)
     assert product_decomposition(top_only(4))[1] is P
-    assert set(vars(P)) == {"members", "lower_index", "upper_index", "covers", "down", "_mobius"}
+    assert set(vars(P)) == {"members", "lower_index", "upper_index", "_cover_lists", "covers", "down", "_mobius"}
 
 
 def test_slice_equals_the_walk_every_interval(cold_caches):
@@ -237,6 +238,45 @@ def test_slice_equals_the_walk_every_interval(cold_caches):
                 )
                 assert S.down == P.down
                 assert S.covers == P.covers
+
+
+def test_walk_hands_over_the_covers_it_found(cold_caches):
+    # the walk records, for each member it keeps, the kept keys one move
+    # below it, also those it had reached before; remapped to member
+    # indices they are the cover lists that _covered generates again over
+    # the member index, member by member and in move order, which is also
+    # what a poset built without the walk derives
+    posets = [
+        interval(lower, upper)
+        for n in range(5)
+        for lower in enumerate_all(n)
+        for upper in enumerate_all(n)
+        if is_sub(lower, upper)
+    ]
+    posets += [interval(top_only(n), full_algebra(n)) for n in range(5, 7)]
+    for P in posets:
+        assert "_cover_lists" in vars(P)
+        index = poset._key_index(P.members)
+        assert P._cover_lists == tuple(tuple(poset._covered(index, C.key)) for C in P.members)
+        fresh = poset.IntervalPoset(P.members, P.lower_index, P.upper_index)
+        assert fresh._cover_lists == P._cover_lists
+
+
+def test_sweep_posets_keep_no_cover_lists(cold_caches):
+    # slices and closed suborders read their cover lists off L_n's on each
+    # use; the sweeps hold thousands of them, so none may cache its lists
+    for n in range(5):
+        top = full_algebra(n)
+        for lower in enumerate_all(n):
+            S, W = poset._slice(lower, top), interval(lower, top)
+            assert (S.down, S.covers) == (W.down, W.covers)
+            assert "_cover_lists" not in vars(S)
+            for closure, cl in CLOSURES.items():
+                if cl(lower) == lower:
+                    P = closed_suborder(closure, lower, top)
+                    assert P.leq(P.lower_index, P.upper_index)
+                    assert all(P.leq(i, j) for i, j in P.covers)
+                    assert "_cover_lists" not in vars(P)
 
 
 def test_per_n_order_is_is_sub_both_ways():
