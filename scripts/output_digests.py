@@ -38,6 +38,7 @@ CLI_COMMANDS = (
     ("export", "--n", "4", "--format", "dot"),
     ("table", "--n-max", "100"),
     ("table", "--n-max", "100", "--format", "json"),
+    ("table", "--n", "100", "--format", "json"),
     ("identity", "--n-max", "100"),
     ("identity", "--n-max", "100", "--format", "json"),
 )

@@ -38,6 +38,7 @@ from .formulas import (
 from .poset import (
     IntervalPoset,
     NotComparableError,
+    _json_items,
     interval,
     interval_to_dot,
     interval_to_json,
@@ -245,6 +246,24 @@ def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if all_ok else 1
 
 
+def _json_sum(value: str | None) -> str:
+    return "null" if value is None else f'"{value}"'  # digits need no escapes
+
+
+def _table_json(rows: list[dict], all_ok: bool) -> str:
+    """``json.dumps({"command": "table", "rows": rows, "all_ok": all_ok}, indent=2)``
+    byte for byte, one f-string per row: the encoder has no C path for ``indent``."""
+    items = [
+        f'{{\n      "n": {r["n"]},\n      "k": {r["k"]},\n      "chain": "{r["chain"]}",\n'
+        f'      "chain_count": {r["chain_count"]},\n      "composition": {_json_sum(r["composition"])},\n'
+        f'      "oracle": {_json_sum(r["oracle"])},\n      "match": {str(r["match"]).lower()}\n    }}'
+        for r in rows
+    ]
+    rows_json = _json_items(items, "  ")
+    fields = ['"command": "table"', f'"rows": {rows_json}', f'"all_ok": {str(all_ok).lower()}']
+    return _json_items(fields, "", "{}")
+
+
 def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     if (args.n is None) == (args.n_max is None):
         raise UsageError("table needs exactly one of --n or --n-max")
@@ -282,8 +301,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
                 }
             )
     if args.fmt == "json":
-        doc = {"command": "table", "rows": rows, "all_ok": all_ok}
-        text = json.dumps(doc, indent=2)
+        text = _table_json(rows, all_ok)
     else:
         header = ["n", "k", "chain", "composition", "oracle", "ok"]
         table_rows = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import cache
+from operator import mul
 from typing import Callable
 
 from .algebra import ImpLattice, full_algebra
@@ -111,13 +112,22 @@ def chain_count(k: int, n: int) -> int:
     return 1 if n == k else 2 ** (n - k - 1)
 
 
-@cache
+_CHAIN_ROWS: list[list[int]] = [[1]]  # row k: T(k, k), T(k, k+1), ..., grown in place
+
+
 def _rank_chain_value(k: int, n: int) -> int:
-    # T(k) = 1; T(m) = -sum_{j=k}^{m-1} S(m,j) T(j): the suffix-sum form of
-    # sum over chains n = n_0 > ... > n_p = k of (-1)^p prod S(n_{i-1}, n_i)
-    if n == k:
-        return 1
-    return -sum(stirling2(n, j) * _rank_chain_value(k, j) for j in range(k, n))
+    # T(k, k) = 1; T(k, m) = -sum_{j=k}^{m-1} S(m,j) T(k, j): the suffix-sum
+    # form of sum over chains n = n_0 > ... > n_p = k of (-1)^p prod S(n_{i-1}, n_i),
+    # each new entry one dot product of Stirling row m against row k
+    if k >= len(_CHAIN_ROWS) or n - k >= len(_CHAIN_ROWS[k]):
+        _table_row(_STIRLING_ROWS, n, _next_stirling_row)  # first: the lock is not reentrant
+        with _TABLE_LOCK:
+            while len(_CHAIN_ROWS) <= k:
+                _CHAIN_ROWS.append([1])
+            row = _CHAIN_ROWS[k]
+            for m in range(k + len(row), n + 1):
+                row.append(-sum(map(mul, _STIRLING_ROWS[m][k:m], row)))
+    return _CHAIN_ROWS[k][n - k]
 
 
 @cache

@@ -55,8 +55,8 @@ def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
     hold the posets, and so their cached orders, Mobius values and covers, the
     per-n orders the slices are cut from, the per-n closure indices, the
-    product decompositions and the interned lattices) and the Stirling and
-    composition row tables, trimmed back to row 0."""
+    product decompositions and the interned lattices) and the Stirling,
+    chain-sum and composition row tables, trimmed back to row 0."""
     from implattice import algebra, formulas, poset
 
     for fn in (
@@ -68,11 +68,11 @@ def clear_caches():
         poset._closed,
         poset._closure_row,
         poset.product_decomposition,
-        formulas._rank_chain_value,
         formulas._corrected_value,
     ):
         fn.cache_clear()
     del formulas._STIRLING_ROWS[1:]
+    del formulas._CHAIN_ROWS[1:]
     del formulas._COMPOSITION_ROWS[1:]
 
 

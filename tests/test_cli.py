@@ -341,6 +341,33 @@ def test_table_k_filter(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n-max", "12"],
+        ["--n", "17"],  # past the composition cap: composition is null
+        ["--n", "6"],  # past the oracle cap: oracle is null
+        ["--n-max", "6", "--k", "2"],
+    ],
+)
+def test_table_json_is_the_indented_encoding(capsys, argv):
+    # the table's schema renderer must print json.dumps(doc, indent=2) exactly
+    code, out = run_cli(capsys, "table", *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_table_json_renders_a_mismatch(capsys, monkeypatch):
+    real = formulas.mu_rank_sum_composition
+    monkeypatch.setattr(cli, "mu_rank_sum_composition", lambda k, n: real(k, n) + (k == 2))
+    code, out = run_cli(capsys, "table", "--n-max", "4", "--format", "json")
+    assert code == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    doc = json.loads(out)
+    assert doc["all_ok"] is False
+    assert {r["k"] for r in doc["rows"] if r["match"] is False} == {2}
+
+
 @pytest.mark.parametrize("bound", ["--n", "--n-max"])
 def test_table_k_above_largest_n_is_usage_error(capsys, bound):
     assert main(["table", bound, "3", "--k", "5"]) == 2

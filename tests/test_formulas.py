@@ -1,3 +1,4 @@
+import functools
 import math
 import pathlib
 import random
@@ -244,6 +245,32 @@ def test_rank_chain_matches_oracle():
             assert mu_rank_sum_chain(k, n) == mu_rank_sum_oracle(k, n)
 
 
+def test_chain_rows_match_the_memoized_recursion(cold_caches):
+    # the per-k rows grow in whatever order the values are asked for; each
+    # order, from cold tables, must give the suffix-sum recursion's integers
+    @functools.cache
+    def recursion(k, n):
+        if n == k:
+            return 1
+        return -sum(stirling2(n, j) * recursion(k, j) for j in range(k, n))
+
+    top = 60
+    pairs = [(k, n) for n in range(1, top + 1) for k in range(1, n + 1)]
+    orders = {
+        "n ascending": pairs,
+        "n descending": sorted(pairs, key=lambda kn: -kn[1]),
+        "k-major": sorted(pairs),
+    }
+    want = {kn: recursion(*kn) for kn in pairs}
+    for name, order in orders.items():
+        cold_caches()
+        got = {(k, n): mu_rank_sum_chain(k, n) for k, n in order}
+        assert got == want, name
+        assert [chain_sum_printed(n) for n in range(1, top + 1)] == [
+            -want[1, n] for n in range(1, top + 1)
+        ], name
+
+
 def test_partition_sum_is_second_oracle_route():
     for n in range(1, 6):
         for k in range(1, n + 1):
@@ -318,14 +345,16 @@ def test_printed_composition_is_its_own_sum():
 
 
 def test_tables_grow_consistently_across_threads(monkeypatch):
-    # several threads grow the cold Stirling and composition tables at once;
-    # a tiny switch interval makes unguarded growth interleave mid-row
+    # several threads grow the cold Stirling, chain-sum and composition
+    # tables at once; a tiny switch interval makes unguarded growth
+    # interleave mid-row
     ns = range(1, 41)
 
     def rows(order):
         return {
             n: (
                 [stirling2(n, k) for k in range(n + 1)],
+                [mu_rank_sum_chain(k, n) for k in range(1, n + 1)],
                 [mu_rank_sum_composition(k, n) for k in range(1, n + 1)],
             )
             for n in order
@@ -333,6 +362,7 @@ def test_tables_grow_consistently_across_threads(monkeypatch):
 
     def cold():
         monkeypatch.setattr(formulas, "_STIRLING_ROWS", [[1]])
+        monkeypatch.setattr(formulas, "_CHAIN_ROWS", [[1]])
         monkeypatch.setattr(formulas, "_COMPOSITION_ROWS", [[1]])
 
     cold()
