@@ -33,8 +33,10 @@ CLI_COMMANDS = (
     ("mobius", "--n", "7"),
     ("mobius", "--n", "7", "--format", "json"),
     ("mobius", "--n", "8", "--format", "json"),
+    ("mobius", "--lower", '{"n":8,"base":[0],"blocks":[[1],[2],[3],[4],[5],[6],[7]]}', "--format", "json"),
     ("export", "--n", "7", "--format", "json"),
     ("export", "--n", "8", "--format", "json"),
+    ("export", "--lower", '{"n":6,"base":[0,1,2],"blocks":[[3,4,5]]}', "--format", "json"),
     ("export", "--n", "4", "--format", "dot"),
     ("table", "--n-max", "100"),
     ("table", "--n-max", "100", "--format", "json"),

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import cache
 from operator import mul
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .algebra import ImpLattice, full_algebra
 from .algebra import _lattice, _set_partitions
@@ -31,12 +30,15 @@ def factorial(m: int) -> int:
     return math.factorial(m)
 
 
-_TABLE_LOCK = threading.Lock()
+_TABLE_LOCK = threading.RLock()
+_Row = TypeVar("_Row")
 
 
-def _table_row(rows: list[list[int]], n: int, next_row: Callable[[list], list[int]]) -> list[int]:
-    """Row n of a table cached in ``rows``.  Rows are appended complete and
-    under the lock, so concurrent callers never see or build a partial row."""
+def _table_row(rows: list[_Row], n: int, next_row: Callable[[list[_Row]], _Row]) -> _Row:
+    """Row n of a table cached in ``rows``, where ``next_row(rows)`` is the
+    row after the last.  Rows are appended complete and under the lock, so
+    concurrent callers never see or build a partial row; the lock is
+    reentrant, so ``next_row`` may grow another table."""
     if n >= len(rows):
         with _TABLE_LOCK:
             while len(rows) <= n:
@@ -61,7 +63,11 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"stirling2 needs n, k >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    return _table_row(_STIRLING_ROWS, n, _next_stirling_row)[k]
+    return _stirling_row(n)[k]
+
+
+def _stirling_row(n: int) -> list[int]:
+    return _table_row(_STIRLING_ROWS, n, _next_stirling_row)
 
 
 def bell(n: int) -> int:
@@ -112,28 +118,23 @@ def chain_count(k: int, n: int) -> int:
     return 1 if n == k else 2 ** (n - k - 1)
 
 
-_CHAIN_ROWS: list[list[int]] = [[1]]  # row k: T(k, k), T(k, k+1), ..., grown in place
+_CHAIN_ROWS: list[list[int]] = [[1]]  # row k: T(k, k), T(k, k+1), ...
 
 
 def _rank_chain_value(k: int, n: int) -> int:
     # T(k, k) = 1; T(k, m) = -sum_{j=k}^{m-1} S(m,j) T(k, j): the suffix-sum
     # form of sum over chains n = n_0 > ... > n_p = k of (-1)^p prod S(n_{i-1}, n_i),
     # each new entry one dot product of Stirling row m against row k
-    if k >= len(_CHAIN_ROWS) or n - k >= len(_CHAIN_ROWS[k]):
-        _table_row(_STIRLING_ROWS, n, _next_stirling_row)  # first: the lock is not reentrant
-        with _TABLE_LOCK:
-            while len(_CHAIN_ROWS) <= k:
-                _CHAIN_ROWS.append([1])
-            row = _CHAIN_ROWS[k]
-            for m in range(k + len(row), n + 1):
-                row.append(-sum(map(mul, _STIRLING_ROWS[m][k:m], row)))
-    return _CHAIN_ROWS[k][n - k]
+    row = _table_row(_CHAIN_ROWS, k, lambda rows: [1])
+    return _table_row(row, n - k, lambda t: -sum(map(mul, _stirling_row(k + len(t))[k:], t)))
 
 
-@cache
-def _corrected_value(n: int) -> int:
+_CORRECTED_ROWS: list[int] = [1]  # f(0), f(1), ...; f(0) meets only S(m, 0) = 0
+
+
+def _next_corrected(f: list[int]) -> int:
     # f(m) = (-1)^m - sum_{j=1}^{m-1} S(m,j) f(j)
-    return (-1) ** n - sum(stirling2(n, j) * _corrected_value(j) for j in range(1, n))
+    return (-1) ** len(f) - sum(map(mul, _stirling_row(len(f)), f))
 
 
 def chain_sum_printed(n: int) -> int:
@@ -155,7 +156,7 @@ def chain_sum_corrected(n: int) -> int:
     product; equals mu({1}, B_n) = (-1)^n n!."""
     if n < 1:
         raise ValueError(f"chain sums need n >= 1, got {n}")
-    return _corrected_value(n)
+    return _table_row(_CORRECTED_ROWS, n, _next_corrected)
 
 
 def mu_top_closed_form(n: int) -> int:

@@ -184,7 +184,6 @@ def _transpose(lists: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-@cache
 def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """Materialize ``[lower, upper]`` in the sublattice order.
 
@@ -223,16 +222,16 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
 
 
 @cache
-def _order(n: int) -> tuple[IntervalPoset, dict, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _order(n: int) -> tuple[IntervalPoset, dict, tuple[int, ...]]:
     """The whole order L_n = [{1}, B_n], built once per n by the walk, as
-    ``(L, index, up, covered)``: L_n itself, whose members are
-    ``enumerate_all(n)`` in canonical order, so that bit order over its
-    indices is member order; its member index by mask key; its up-sets,
-    filled from the transposed cover lists, top block count first; and the
-    indices each member covers, the walk's cover lists."""
+    ``(L, index, up)``: L_n itself, whose members are ``enumerate_all(n)``
+    in canonical order, so that bit order over its indices is member order,
+    and which keeps the walk's cover lists; its member index by mask key;
+    and its up-sets, filled from the transposed cover lists, top block
+    count first."""
     L = interval(top_only(n), full_algebra(n))
     up = _fill(_transpose(L._cover_lists), reversed(_by_rank(L.members)))
-    return L, _key_index(L.members), up, L._cover_lists
+    return L, _key_index(L.members), up
 
 
 class _Restricted(IntervalPoset):
@@ -243,7 +242,8 @@ class _Restricted(IntervalPoset):
 
     @property
     def _cover_lists(self) -> list[list[int]]:
-        _, index, _, covered = _order(self.lower.n)
+        L, index, _ = _order(self.lower.n)
+        covered = L._cover_lists
         at = [index[A.key] for A in self.members]
         local = {g: i for i, g in enumerate(at)}
         return [[local[g] for g in covered[k] if g in local] for k in at]
@@ -252,7 +252,7 @@ class _Restricted(IntervalPoset):
 def _inside(lower: ImpLattice, upper: ImpLattice) -> int:
     """The L_n indices of ``[lower, upper]`` as one mask,
     ``up[lower] & down[upper]``."""
-    L, index, up, _ = _order(upper.n)
+    L, index, up = _order(upper.n)
     a, c = index[lower.key], index[upper.key]
     if not up[a] >> c & 1:
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
@@ -264,7 +264,7 @@ def _slice(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """``[lower, upper]`` as a slice of the per-n order: the members of L_n
     in :func:`_inside`.  They come out in canonical order, so a slice has
     the members and end indices :func:`interval` gives."""
-    L, index, _, _ = _order(upper.n)
+    L, index, _ = _order(upper.n)
     inside = _inside(lower, upper)
     members = tuple(L.members[g] for g in _bits(inside))
     lower_index = (inside & ((1 << index[lower.key]) - 1)).bit_count()
@@ -327,7 +327,7 @@ def _closed(closure: str, n: int) -> tuple[int, ...]:
     """The closure index of L_n: ``cl[g]`` is the L_n index of the closure
     of L_n's member g.  The closure function runs once per member."""
     close = _closure(closure)
-    L, index, _, _ = _order(n)
+    L, index, _ = _order(n)
     return tuple(index[close(A).key] for A in L.members)
 
 
@@ -352,7 +352,7 @@ def _closure_row(closure: str, y: ImpLattice) -> tuple[dict, dict | None]:
     by c's index, when y is closed, else None.  The members of [y, B_n] are
     the bits of ``up[y]``, in slice order."""
     n = y.n
-    _, index, up, _ = _order(n)
+    _, index, up = _order(n)
     cl = _closed(closure, n)
     g = index[y.key]
     whole = _slice(y, full_algebra(n))
@@ -410,8 +410,8 @@ def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, 
 
     lower1 = _interned(n1, 0, blocks, out_images)
     p1 = _slice(lower1, full_algebra(n1))
-    p2 = interval(top_only(n2), full_algebra(n2))
-    index1, index2 = _key_index(p1.members), _key_index(p2.members)
+    index1 = _key_index(p1.members)
+    p2, index2, _ = _order(n2)
 
     keys = [C.key for C in _slice(A, full_algebra(n)).members]
     # A <= C forces every block of C inside or outside a

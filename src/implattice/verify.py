@@ -44,7 +44,6 @@ from .algebra import (
 from .poset import (
     CLOSURES,
     closure_theorem_check,
-    interval,
     interval_isomorphism_via_permutation,
     maximal_chain_length,
     mobius_between,
@@ -129,7 +128,7 @@ def _closure_axioms(closure: str, n: int) -> Iterator[bool]:
     for A in lattices:
         closed = close(A)
         yield is_sub(A, closed) and close(closed) == closed
-    L, _, up, _ = _order(n)
+    L, _, up = _order(n)
     cl = _closed(closure, n)
     for a in range(len(L)):
         c1 = L.members[cl[a]]
@@ -290,7 +289,7 @@ def _claim_closed_set_roundtrip(n: int) -> Iterator[bool]:
 
 def _claim_oracle_recursion_identity(n: int) -> Iterator[bool]:
     """Every proper down-set of [{1}, B_n] has Mobius values summing to 0."""
-    whole = interval(top_only(n), full_algebra(n))
+    whole = _order(n)[0]
     mu = mobius_oracle(whole)
     for i in range(len(whole)):
         total = sum(mu[j] for j in _bits(whole.down[i]))

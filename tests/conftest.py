@@ -56,23 +56,23 @@ def clear_caches():
     hold the posets, and so their cached orders, Mobius values and covers, the
     per-n orders the slices are cut from, the per-n closure indices, the
     product decompositions and the interned lattices) and the Stirling,
-    chain-sum and composition row tables, trimmed back to row 0."""
+    chain-sum, corrected-sum and composition row tables, trimmed back to
+    row 0."""
     from implattice import algebra, formulas, poset
 
     for fn in (
         algebra.enumerate_all,
         algebra._lattice,
-        poset.interval,
         poset._order,
         poset._slice,
         poset._closed,
         poset._closure_row,
         poset.product_decomposition,
-        formulas._corrected_value,
     ):
         fn.cache_clear()
     del formulas._STIRLING_ROWS[1:]
     del formulas._CHAIN_ROWS[1:]
+    del formulas._CORRECTED_ROWS[1:]
     del formulas._COMPOSITION_ROWS[1:]
 
 

@@ -246,13 +246,18 @@ def test_rank_chain_matches_oracle():
 
 
 def test_chain_rows_match_the_memoized_recursion(cold_caches):
-    # the per-k rows grow in whatever order the values are asked for; each
-    # order, from cold tables, must give the suffix-sum recursion's integers
+    # the per-k rows and the corrected sums grow in whatever order the
+    # values are asked for; each order, from cold tables, must give the
+    # integers of the recursions written out directly
     @functools.cache
     def recursion(k, n):
         if n == k:
             return 1
         return -sum(stirling2(n, j) * recursion(k, j) for j in range(k, n))
+
+    @functools.cache
+    def corrected(n):
+        return (-1) ** n - sum(stirling2(n, j) * corrected(j) for j in range(1, n))
 
     top = 60
     pairs = [(k, n) for n in range(1, top + 1) for k in range(1, n + 1)]
@@ -262,10 +267,15 @@ def test_chain_rows_match_the_memoized_recursion(cold_caches):
         "k-major": sorted(pairs),
     }
     want = {kn: recursion(*kn) for kn in pairs}
+    want_corrected = {n: corrected(n) for n in range(1, top + 1)}
     for name, order in orders.items():
         cold_caches()
-        got = {(k, n): mu_rank_sum_chain(k, n) for k, n in order}
+        got, got_corrected = {}, {}
+        for k, n in order:
+            got[k, n] = mu_rank_sum_chain(k, n)
+            got_corrected[n] = chain_sum_corrected(n)
         assert got == want, name
+        assert got_corrected == want_corrected, name
         assert [chain_sum_printed(n) for n in range(1, top + 1)] == [
             -want[1, n] for n in range(1, top + 1)
         ], name
@@ -344,15 +354,30 @@ def test_printed_composition_is_its_own_sum():
             assert mu_rank_sum_composition(k, n) == want / math.factorial(k)
 
 
+def test_table_lock_is_reentrant():
+    # a table's next row may grow another table under the lock it holds; a
+    # lock that is not reentrant fails here at once instead of hanging the
+    # first cold chain or corrected sum
+    lock = formulas._TABLE_LOCK
+    assert lock.acquire(timeout=1)
+    try:
+        assert lock.acquire(blocking=False)
+        lock.release()
+    finally:
+        lock.release()
+
+
 def test_tables_grow_consistently_across_threads(monkeypatch):
-    # several threads grow the cold Stirling, chain-sum and composition
-    # tables at once; a tiny switch interval makes unguarded growth
-    # interleave mid-row
+    # several threads grow the cold corrected-sum, Stirling, chain-sum and
+    # composition tables at once, each corrected sum first, so that it grows
+    # the Stirling rows it reads under the lock it holds; a tiny switch
+    # interval makes unguarded growth interleave mid-row
     ns = range(1, 41)
 
     def rows(order):
         return {
             n: (
+                chain_sum_corrected(n),
                 [stirling2(n, k) for k in range(n + 1)],
                 [mu_rank_sum_chain(k, n) for k in range(1, n + 1)],
                 [mu_rank_sum_composition(k, n) for k in range(1, n + 1)],
@@ -363,6 +388,7 @@ def test_tables_grow_consistently_across_threads(monkeypatch):
     def cold():
         monkeypatch.setattr(formulas, "_STIRLING_ROWS", [[1]])
         monkeypatch.setattr(formulas, "_CHAIN_ROWS", [[1]])
+        monkeypatch.setattr(formulas, "_CORRECTED_ROWS", [1])
         monkeypatch.setattr(formulas, "_COMPOSITION_ROWS", [[1]])
 
     cold()

@@ -115,7 +115,7 @@ def test_clear_caches_empties_every_memo(cold_caches):
     # the cold-cache tests rely on conftest.clear_caches missing no memo; a
     # small verify run fills every memo, so each clear below is observable
     memos = memoized_functions()
-    assert "poset.interval" in memos
+    assert "poset._order" in memos
     run_suite("all", 3)
     assert {name for name, fn in memos.items() if fn.cache_info().currsize} == set(memos)
     cold_caches()
@@ -129,6 +129,7 @@ def test_clear_caches_trims_every_row_table(cold_caches):
     assert {
         "formulas._STIRLING_ROWS",
         "formulas._CHAIN_ROWS",
+        "formulas._CORRECTED_ROWS",
         "formulas._COMPOSITION_ROWS",
     } <= set(tables)
     run_suite("all", 3)

@@ -205,8 +205,8 @@ def test_exports_build_no_order(cold_caches):
     # a poset stores its members and ends; the order is derived on first use,
     # and the JSON and DOT exports read the members and Hasse edges only.  It
     # caches exactly the three derived tuples and the cover lists the walk
-    # handed over, also once a product decomposition has looked its members
-    # up as a factor
+    # handed over.  A product decomposition takes its second factor as the
+    # per-n order itself, which caches no more than that either
     fields = [f.name for f in dataclasses.fields(poset.IntervalPoset)]
     assert fields == ["members", "lower_index", "upper_index"]
     P = interval(top_only(4), full_algebra(4))
@@ -215,8 +215,10 @@ def test_exports_build_no_order(cold_caches):
     assert "covers" in vars(P) and "down" not in vars(P)
     assert mu_top(P) == 24
     assert "down" in vars(P)
-    assert product_decomposition(top_only(4))[1] is P
-    assert set(vars(P)) == {"members", "lower_index", "upper_index", "_cover_lists", "covers", "down", "_mobius"}
+    cached = {"members", "lower_index", "upper_index", "_cover_lists", "covers", "down", "_mobius"}
+    assert set(vars(P)) == cached
+    assert product_decomposition(top_only(4))[1] is poset._order(4)[0]
+    assert set(vars(poset._order(4)[0])) <= cached
 
 
 def test_slice_equals_the_walk_every_interval(cold_caches):
@@ -283,14 +285,14 @@ def test_per_n_order_is_is_sub_both_ways():
     # up[i] holds the members above member i, down[j] those below member j,
     # each reflexively, over the members of L_n in canonical order
     for n in range(5):
-        L, index, up, covered = poset._order(n)
+        L, index, up = poset._order(n)
         lattices = enumerate_all(n)
         assert L.members == lattices
         assert index == {A.key: i for i, A in enumerate(lattices)}
         for i, A in enumerate(lattices):
             assert up[i] == sum(1 << j for j, C in enumerate(lattices) if is_sub(A, C))
             assert L.down[i] == sum(1 << j for j, D in enumerate(lattices) if is_sub(D, A))
-            assert sorted(covered[i]) == [k for k, j in L.covers if j == i]
+            assert sorted(L._cover_lists[i]) == [k for k, j in L.covers if j == i]
 
 
 @pytest.mark.parametrize("closure", sorted(CLOSURES))
@@ -486,7 +488,7 @@ def test_closure_index_is_the_closure_of_each_member(closure):
     # cl[g] is the L_n index of the closure of member g: the closure
     # function's own (interned) lattice, a fixed point, and above g
     for n in range(6):
-        L, _, up, _ = _order(n)
+        L, _, up = _order(n)
         cl = _closed(closure, n)
         assert len(cl) == len(L)
         for g, A in enumerate(L.members):
