@@ -8,7 +8,9 @@ altered any of them:
     python scripts/output_digests.py > after.txt
 
 Each output comes from a fresh subprocess running the checkout's own
-``src``.  With ``--n8`` the listing ends with one more line, the digest of
+``src``.  The default listing includes ``mobius`` and ``export`` on one
+interval of 10 240 members at n = 24, past the cap, whose walk must reach
+members only.  With ``--n8`` the listing ends with one more line, the digest of
 ``verify --suite all --n-max 8 --format json``, which takes about four
 minutes and 800 MiB on a 2-core machine and is left out by default.
 """
@@ -20,6 +22,10 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# past the cap: a base of 2 atoms and eleven blocks of 2, whose interval up to
+# B_24 has 10 240 members
+N24_LOWER = '{"n":24,"base":[0,1],"blocks":[[2,3],[4,5],[6,7],[8,9],[10,11],[12,13],[14,15],[16,17],[18,19],[20,21],[22,23]]}'
 
 # argument lists for ``python -m implattice``
 CLI_COMMANDS = (
@@ -34,9 +40,11 @@ CLI_COMMANDS = (
     ("mobius", "--n", "7", "--format", "json"),
     ("mobius", "--n", "8", "--format", "json"),
     ("mobius", "--lower", '{"n":8,"base":[0],"blocks":[[1],[2],[3],[4],[5],[6],[7]]}', "--format", "json"),
+    ("mobius", "--lower", N24_LOWER, "--override-cap", "--format", "json"),
     ("export", "--n", "7", "--format", "json"),
     ("export", "--n", "8", "--format", "json"),
     ("export", "--lower", '{"n":6,"base":[0,1,2],"blocks":[[3,4,5]]}', "--format", "json"),
+    ("export", "--lower", N24_LOWER, "--override-cap", "--format", "json"),
     ("export", "--n", "4", "--format", "dot"),
     ("table", "--n-max", "100"),
     ("table", "--n-max", "100", "--format", "json"),

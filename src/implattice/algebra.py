@@ -57,6 +57,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@cache
+def _atoms(mask: int) -> tuple[int, ...]:
+    """The set bits of an atom mask as a tuple, ascending: :func:`_bits`,
+    computed once per mask.  Index masks over members are not atom masks
+    and go through :func:`_bits`."""
+    return tuple(_bits(mask))
+
+
 def remap(mask: int, images: Sequence[int] | Mapping[int, int]) -> int:
     """Relabel a mask bit by bit: the union of ``images[i]`` over set bits i."""
     out = 0
@@ -93,7 +101,7 @@ class Element:
 
     @property
     def atoms(self) -> tuple[int, ...]:
-        return tuple(_bits(self.mask))
+        return _atoms(self.mask)
 
     @property
     def rank(self) -> int:
@@ -182,7 +190,7 @@ class ImpLattice:
 
     def sort_key(self) -> tuple:
         base, blocks = self.key
-        return (base, tuple(tuple(_bits(b)) for b in blocks))
+        return (base, tuple(map(_atoms, blocks)))
 
 
 def full_algebra(n: int) -> ImpLattice:
@@ -388,7 +396,7 @@ def apply_atom_permutation(A: ImpLattice, sigma: Sequence[int]) -> ImpLattice:
 
 def lattice_to_dict(A: ImpLattice) -> dict:
     base, blocks = A.key
-    return {"n": A.n, "base": list(_bits(base)), "blocks": [list(_bits(b)) for b in blocks]}
+    return {"n": A.n, "base": list(_atoms(base)), "blocks": [list(_atoms(b)) for b in blocks]}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -12,7 +12,8 @@ The order is graded by block count, and every cover D < C is one move on C:
 merge two of its blocks, or absorb one block into its base (the partition
 lattice cover plus a base move).  The same moves give the members, the order
 and the Hasse edges.  The members of an interval are walked down from its
-upper end, keeping the candidates above its lower end.  A poset stores only
+upper end by the moves that stay above its lower end, so every key the walk
+reaches is a member and no containment test runs.  A poset stores only
 its members and the indices of its ends; its order and Hasse edges are
 derived on first use from one primitive, its cover lists: the members one
 move below each member, which the walk records as it goes (else
@@ -50,10 +51,10 @@ from .algebra import (
     remap,
     top_only,
     up_closure,
+    _atoms,
     _bits,
     _interned,
     _lattice,
-    _sub_masks,
 )
 
 
@@ -136,14 +137,29 @@ class IntervalPoset:
         return tuple(_fold_below(self, 1, lambda below: -sum(u * c for u, c in below)))
 
 
-def _lower_moves(base: int, blocks: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _lower_moves(base: int, blocks: tuple[int, ...], part: dict | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The one-move lower neighbours of ``(base, blocks)`` as mask keys:
     absorb block i into the base, or merge blocks i < j.  The merged block
-    keeps block i's least atom, so it stays at position i."""
+    keeps block i's least atom, so it stays at position i.  With ``part``,
+    the :func:`_parts` of a lower end A, only the moves that stay above A:
+    absorb a block of base(A), merge two blocks of one part; without it,
+    every move, as for A = {1}, whose base holds every atom."""
+    parts = [-1] * len(blocks) if part is None else [part[b & -b] for b in blocks]
     for i, b in enumerate(blocks):
-        yield base | b, blocks[:i] + blocks[i + 1 :]
+        p = parts[i]
+        if p < 0:
+            yield base | b, blocks[:i] + blocks[i + 1 :]
         for j in range(i + 1, len(blocks)):
-            yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
+            if parts[j] == p:
+                yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
+
+
+def _parts(A: tuple[int, tuple[int, ...]]) -> dict[int, int]:
+    """The part of the mask key A that holds each atom, by the atom's bit:
+    -1 for base(A), else the index of A's block.  Each block of a C >= A
+    lies inside one part, the part of its least atom."""
+    base, blocks = A
+    return {1 << x: p for p, m in enumerate((base, *blocks), -1) for x in _atoms(m)}
 
 
 def _key_index(members: tuple[ImpLattice, ...]) -> dict[tuple, int]:
@@ -187,36 +203,36 @@ def _transpose(lists: Sequence[Sequence[int]]) -> list[list[int]]:
 def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """Materialize ``[lower, upper]`` in the sublattice order.
 
-    Members are found by one-move steps down from upper, keeping each
-    candidate that contains lower and stepping on only from those.  The
-    interval is convex and every cover is one move, so a chain of covers
-    inside it leads from upper to each member.  Only the members' one-move
-    neighbours are tested, on their mask keys, so a small interval is cheap
-    at any n, and lattices are built (once per key, by ``_lattice``) for
-    the kept members only.  The kept keys one move below a member, reached
-    before or not, are its covers; the poset keeps them as its cover lists.
+    Members are found by one-move steps down from upper.  Every block of a
+    member lies inside one part of lower, its base or one of its blocks, so
+    the walk makes only the moves that keep to one part (:func:`_parts`):
+    every key it reaches is a member, one per cover edge, and a small
+    interval costs its own size at any n.  The interval is convex and every
+    cover is one move, so a chain of covers inside it leads from upper to
+    each member.  The keys one move below a member, reached before or not,
+    are its covers; the poset keeps them as its cover lists.
     """
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
     n = upper.n
-    low = lower.key
+    part = _parts(lower.key)
     kept = [upper.key]
-    seen = {upper.key: 0}  # walk position of each key tested, None if rejected
-    moves = []  # per kept key, the walk positions of the kept keys it covers
+    seen = {upper.key: 0}  # walk position of each kept key
+    moves = []  # per kept key, the walk positions of the keys it covers
     for C in kept:  # grows as the walk keeps members
         moves.append(below := [])
-        for key in _lower_moves(*C):
-            p = seen.get(key, -1)
-            if p == -1:
-                p = seen[key] = len(kept) if _sub_masks(*low, *key) else None
-                if p is not None:
-                    kept.append(key)
-            if p is not None:
-                below.append(p)
+        for key in _lower_moves(*C, part):
+            p = seen.get(key)
+            if p is None:
+                p = seen[key] = len(kept)
+                kept.append(key)
+            below.append(p)
     lattices = [_lattice(n, key) for key in kept]
     order = sorted(range(len(kept)), key=lambda p: lattices[p].sort_key())
-    rank = {p: i for i, p in enumerate(order)}
-    P = IntervalPoset(tuple(lattices[p] for p in order), rank[seen[low]], rank[0])
+    rank = [0] * len(kept)
+    for i, p in enumerate(order):
+        rank[p] = i
+    P = IntervalPoset(tuple(lattices[p] for p in order), rank[seen[lower.key]], rank[0])
     vars(P)["_cover_lists"] = tuple(tuple([rank[q] for q in moves[p]]) for p in order)
     return P
 
@@ -405,7 +421,7 @@ def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, 
     a, blocks = A.key
     # relabel the atoms outside a, and those of a, onto 0, 1, ... in order
     out_images = {x: 1 << i for i, x in enumerate(c for c in range(n) if not a >> c & 1)}
-    in_images = {x: 1 << i for i, x in enumerate(_bits(a))}
+    in_images = {x: 1 << i for i, x in enumerate(_atoms(a))}
     n1, n2 = len(out_images), len(in_images)
 
     lower1 = _interned(n1, 0, blocks, out_images)

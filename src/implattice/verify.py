@@ -38,6 +38,7 @@ from .algebra import (
     meet,
     top_only,
     up_closure,
+    _atoms,
     _bits,
     _interned,
 )
@@ -300,7 +301,7 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
     """Swapping two atoms below the base maps the two atom-filter intervals
     onto each other order-isomorphically."""
     for A in enumerate_all(n):
-        atoms = tuple(_bits(A.key[0]))
+        atoms = _atoms(A.key[0])
         for i, c1 in enumerate(atoms):
             for c2 in atoms[i + 1 :]:
                 lhs, rhs = interval_isomorphism_via_permutation(A, c1, c2)
@@ -310,7 +311,7 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
 def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
     """Rewrite D <= C over the atoms of C (blocks indexed by least atom)."""
     # C has base 0, so D <= C makes D's base and blocks unions of C's blocks
-    images = {a: 1 << i for i, cb in enumerate(C.key[1]) for a in _bits(cb)}
+    images = {a: 1 << i for i, cb in enumerate(C.key[1]) for a in _atoms(cb)}
     return _interned(C.w, *D.key, images)
 
 

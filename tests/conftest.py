@@ -55,14 +55,15 @@ def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
     hold the posets, and so their cached orders, Mobius values and covers, the
     per-n orders the slices are cut from, the per-n closure indices, the
-    product decompositions and the interned lattices) and the Stirling,
-    chain-sum, corrected-sum and composition row tables, trimmed back to
-    row 0."""
+    product decompositions, the interned lattices and the atom tuples) and
+    the Stirling, chain-sum, corrected-sum and composition row tables,
+    trimmed back to row 0."""
     from implattice import algebra, formulas, poset
 
     for fn in (
         algebra.enumerate_all,
         algebra._lattice,
+        algebra._atoms,
         poset._order,
         poset._slice,
         poset._closed,

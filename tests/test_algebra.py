@@ -30,6 +30,8 @@ from implattice.algebra import (
     principal_ultrafilter,
     top_only,
     up_closure,
+    _atoms,
+    _bits,
     _interned,
     _lattice,
 )
@@ -220,6 +222,13 @@ def test_intern_table_validates_like_the_constructor(n, key):
         _lattice(n, key)
     assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
     assert _lattice.cache_info().currsize == size  # nothing interned
+
+
+def test_atom_tuples_are_the_set_bits():
+    # the memo the canonical sort and the JSON read stands for the bit
+    # iterator on every atom mask up to n = 10
+    assert all(_atoms(m) == tuple(_bits(m)) for m in range(1 << 10))
+    assert _atoms(0b1011) is _atoms(0b1011)
 
 
 def test_closures_match_their_direct_construction():

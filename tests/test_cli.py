@@ -109,6 +109,17 @@ def test_mobius_incomparable_is_usage_error(capsys):
     assert code == 2
 
 
+def test_mobius_past_the_cap(capsys):
+    # n = 24 with --override-cap: the interval above a base of 2 atoms and
+    # eleven blocks of 2 has 10 240 members, and the walk reaches no other
+    lower = {"n": 24, "base": [0, 1], "blocks": [[i, i + 1] for i in range(2, 24, 2)]}
+    argv = ["mobius", "--lower", json.dumps(lower), "--override-cap", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["mu_oracle"], doc["mu_product_formula"], doc["agree"]) == ("-2", "-2", True)
+
+
 def test_mobius_bad_json(capsys):
     assert main(["mobius", "--lower", "{not json"]) == 2
     capsys.readouterr()

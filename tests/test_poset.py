@@ -26,6 +26,7 @@ from implattice.algebra import (
     top_only,
     _bits,
     _lattice,
+    _sub_masks,
 )
 from implattice import poset
 from implattice.formulas import bell, mobius_product_formula
@@ -262,6 +263,40 @@ def test_walk_hands_over_the_covers_it_found(cold_caches):
         assert P._cover_lists == tuple(tuple(poset._covered(index, C.key)) for C in P.members)
         fresh = poset.IntervalPoset(P.members, P.lower_index, P.upper_index)
         assert fresh._cover_lists == P._cover_lists
+
+
+def test_walk_makes_only_the_moves_it_keeps(cold_caches):
+    # every block of a member of [A, C] lies in one part of A, so the moves
+    # the walk makes, _lower_moves filtered by A's parts, all stay inside:
+    # each move from a member lands on a member, the moves from all members
+    # are the cover edges, one move each, and every key the walk keeps
+    # passes the containment test that the walk no longer makes
+    for n in range(6):
+        lattices = enumerate_all(n)
+        for A in lattices:
+            part = poset._parts(A.key)
+            for C in lattices:
+                if not is_sub(A, C):
+                    continue
+                P = interval(A, C)
+                index = poset._key_index(P.members)
+                made = 0
+                for D in P.members:
+                    for key in poset._lower_moves(*D.key, part):
+                        assert key in index, (A, C, D, key)
+                        made += 1
+                assert made == len(P.covers)
+                assert all(_sub_masks(*A.key, *key) for key in index)
+
+
+def test_walk_past_the_cap(cold_caches):
+    # n = 24: a base of 2 atoms and eleven blocks of 2 above it, so
+    # [A, B_24] is 2^11 splittings of the blocks times L_2 below the base;
+    # the walk only reaches members, so it stays small at any n
+    A = _lattice(24, (0b11, tuple(0b11 << i for i in range(2, 24, 2))))
+    P = interval(A, full_algebra(24))
+    assert len(P) == 2**11 * bell(3) == 10240
+    assert mobius_oracle(P)[P.upper_index] == mobius_product_formula(A) == -2
 
 
 def test_sweep_posets_keep_no_cover_lists(cold_caches):
