@@ -11,7 +11,7 @@ Each output comes from a fresh subprocess running the checkout's own
 ``src``.  The default listing includes ``mobius`` and ``export`` on one
 interval of 10 240 members at n = 24, past the cap, whose walk must reach
 members only.  With ``--n8`` the listing ends with one more line, the digest of
-``verify --suite all --n-max 8 --format json``, which takes about four
+``verify --suite all --n-max 8 --format json``, which takes two to three
 minutes and 800 MiB on a 2-core machine and is left out by default.
 """
 

@@ -12,9 +12,8 @@ sublattice the program builds comes from one intern table, :func:`_lattice`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import json
 
@@ -73,18 +72,35 @@ def remap(mask: int, images: Sequence[int] | Mapping[int, int]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Element:
+class _Record:
+    """A frozen record: its fields are the annotated ``__init__`` parameters, set once there."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def _fields(self) -> tuple[tuple[str, object], ...]:
+        return tuple((f, getattr(self, f)) for f in type(self).__init__.__annotations__ if f != "return")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in self._fields())})"
+
+
+class Element(_Record):
     """An element of ``B_n``: a set of atom indices stored as a bitmask."""
 
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, mask: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
         if self.n < 0:
             raise ValueError(f"atom count must be >= 0, got {self.n}")
         if not 0 <= self.mask <= _full_mask(self.n):
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
+
+    def __eq__(self, other: object) -> bool:
+        return (self.n, self.mask) == (other.n, other.mask) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     @classmethod
     def from_atoms(cls, n: int, atoms: Iterable[int]) -> "Element":
@@ -134,8 +150,7 @@ def join(x: Element, y: Element) -> Element:
     return Element(x.n, x.mask | y.mask)
 
 
-@dataclass(frozen=True)
-class ImpLattice:
+class ImpLattice(_Record):
     """Canonical form of an implication sublattice of ``B_n``.
 
     ``key``, the one stored form, is the ``(base mask, block masks)`` pair:
@@ -147,10 +162,9 @@ class ImpLattice:
     ``{base | union(S) : S subset of blocks}``, of size ``2**w``.
     """
 
-    n: int
-    key: tuple[int, tuple[int, ...]]
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, key: tuple[int, tuple[int, ...]]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "key", key)
         if self.n < 0:
             raise ValueError(f"atom count must be >= 0, got {self.n}")
         cover, blocks = self.key
@@ -166,6 +180,12 @@ class ImpLattice:
             cover |= b
         if cover != _full_mask(self.n):
             raise ValueError(f"base and blocks must cover exactly the atoms of B_{self.n}")
+
+    def __eq__(self, other: object) -> bool:
+        return (self.n, self.key) == (other.n, other.key) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.key))
 
     @property
     def base(self) -> Element:
@@ -441,8 +461,7 @@ def lattice_from_json(text: str) -> ImpLattice:
     return lattice_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one verification check.
 
     ``lhs`` and ``rhs`` are the two exact quantities being compared; for a

@@ -9,6 +9,7 @@ check failed, 2 = usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -392,9 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # the library builds no reference cycles: a pass could free only the parser
     try:
+        args = build_parser().parse_args(argv)
         text, code = _COMMANDS[args.command](args)
         if not text.endswith("\n"):
             text += "\n"
@@ -409,6 +411,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        (gc.enable if enabled else gc.disable)()  # the caller's setting
     return code
 
 

@@ -35,7 +35,6 @@ once per closure (:func:`_closed`) and read closures as L_n indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -55,6 +54,7 @@ from .algebra import (
     _bits,
     _interned,
     _lattice,
+    _Record,
 )
 
 
@@ -76,8 +76,7 @@ CLOSURES = {
 }
 
 
-@dataclass(frozen=True)
-class IntervalPoset:
+class IntervalPoset(_Record):
     """A finite bounded subposet of the sublattice order.
 
     Stored: the members, in canonical order, and the indices of the lower and
@@ -96,9 +95,16 @@ class IntervalPoset:
     sweeps build read them off L_n's on each use (:class:`_Restricted`).
     """
 
-    members: tuple[ImpLattice, ...]
-    lower_index: int
-    upper_index: int
+    def __init__(self, members: tuple[ImpLattice, ...], lower_index: int, upper_index: int) -> None:
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "lower_index", lower_index)
+        object.__setattr__(self, "upper_index", upper_index)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def lower(self) -> ImpLattice:

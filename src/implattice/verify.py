@@ -16,9 +16,8 @@ keeps registry order for stable output).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import algebra, formulas
 from .algebra import (
@@ -60,8 +59,7 @@ from .poset import (
 SUITES = ("closures", "method1", "method2", "product", "pkb", "lemmas")
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One registered claim, checked for every n in ``min_n..max_n``.
 
     ``check(n)`` either yields one boolean per case (a sweep) or returns the

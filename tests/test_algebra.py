@@ -35,6 +35,7 @@ from implattice.algebra import (
     _interned,
     _lattice,
 )
+from implattice.poset import IntervalPoset, interval, _slice
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]
 
@@ -140,6 +141,27 @@ def test_key_is_the_identity():
     key = (0b0010, (0b0101, 0b1000))
     assert A.key == key
     assert A == _lattice(4, key) and hash(A) == hash(_lattice(4, key))
+
+
+def test_records_are_frozen_values():
+    # no stored field can be reassigned; == and hash read the class and the
+    # fields, so a parsed lattice is the interned one in all but identity,
+    # and a record never equals a plain tuple or a record of another class
+    A = full_algebra(2)
+    P = interval(top_only(2), A)
+    records = [(Element(2, 1), "mask"), (A, "key"), (P, "members"), (Verdict("x", {}, 1, 1), "lhs")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    parsed = lattice_from_json(lattice_to_json(A))
+    assert parsed is not A and parsed == A and hash(parsed) == hash(A)
+    for B in enumerate_all(2):
+        e = B.base
+        for x, y in [(B, (B.n, B.key)), (B, B.key), (e, (e.n, e.mask)), (B, e)]:
+            assert x != y and y != x and not x == y and not y == x
+    S = _slice(top_only(2), A)
+    assert (S.members, S.lower_index, S.upper_index) == (P.members, P.lower_index, P.upper_index)
+    assert S != P and P == IntervalPoset(P.members, P.lower_index, P.upper_index)
 
 
 def test_elements_examples():

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import inspect
@@ -500,6 +501,61 @@ def test_output_digest_commands_parse():
         parser.parse_args(list(argv))
     for script, *_ in digests.SCRIPT_COMMANDS:
         assert (root / script).is_file()
+
+
+# --- collector -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector(capsys, monkeypatch, enabled):
+    # a run turns cyclic GC off, and gives the caller back the setting it
+    # found, also after a usage error: one the command raises, or argparse's
+    seen = []
+    command = cli._COMMANDS["enumerate"]
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["enumerate", "--n", "1"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["enumerate", "--n", "9"]) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate"])
+        assert err.value.code == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+    capsys.readouterr()
+
+
+def cyclic_garbage(*argv):
+    """The objects ``gc.collect()`` frees after one run of ``main``, with the
+    collector off throughout, so that no automatic pass frees any first."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_run():
+    # the library builds no reference cycles, so with the collector off a
+    # run leaves the same garbage, the parser's, at any size
+    assert cyclic_garbage("export", "--n", "3", "--format", "json") == cyclic_garbage(
+        "export", "--n", "6", "--format", "json"
+    )
+    assert cyclic_garbage("verify", "--suite", "all", "--n-max", "3") == cyclic_garbage(
+        "verify", "--suite", "all", "--n-max", "5"
+    )
 
 
 # --- operation coverage ------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Module hygiene of the library: every name a module imports is used in
 that module, only ``algebra`` constructs ``ImpLattice`` objects, only
-``verify`` constructs ``Verdict`` objects, and the test helper that empties
-the memos knows every memo and every row table.
+``verify`` constructs ``Verdict`` objects, the test helper that empties
+the memos knows every memo and every row table, and importing the CLI
+loads no heavy standard module that the interpreter does not load anyway.
 
 ``__init__.py`` is skipped: it imports names to re-export them.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +140,27 @@ def test_clear_caches_trims_every_row_table(cold_caches):
     assert {name for name, rows in tables.items() if len(rows) > 1} == set(tables)
     cold_caches()
     assert {name: len(rows) for name, rows in tables.items()} == dict.fromkeys(tables, 1)
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``statement``, with the
+    library's ``src`` first on its path."""
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # every CLI run is a cold process that pays for its imports: dataclasses
+    # alone pulls in inspect, and with it ast, dis and tokenize
+    baseline = modules_loaded_by("pass")
+    cli = modules_loaded_by("import implattice.cli")
+    assert "implattice.cli" in cli
+    assert (cli - baseline) & {"dataclasses", "inspect", "ast"} == set()

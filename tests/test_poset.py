@@ -1,6 +1,6 @@
 import collections
-import dataclasses
 import gc
+import inspect
 import json
 import math
 import random
@@ -208,8 +208,9 @@ def test_exports_build_no_order(cold_caches):
     # caches exactly the three derived tuples and the cover lists the walk
     # handed over.  A product decomposition takes its second factor as the
     # per-n order itself, which caches no more than that either
-    fields = [f.name for f in dataclasses.fields(poset.IntervalPoset)]
+    fields = list(inspect.signature(poset.IntervalPoset).parameters)
     assert fields == ["members", "lower_index", "upper_index"]
+    assert list(vars(poset.IntervalPoset((), 0, 0))) == fields
     P = interval(top_only(4), full_algebra(4))
     interval_to_json(P)
     interval_to_dot(P)
