@@ -2,9 +2,13 @@
 """Print a sha256 digest of each deterministic output that refactors keep
 byte-identical, one ``sha256  command`` line per output.
 
-Run it in two checkouts and diff the two listings to see whether a change
-altered any of them:
+The listing is committed as ``scripts/output_digests.txt``.  With ``--check``
+the script recomputes it and compares it with the committed file instead of
+printing it: it names each line that differs (``-`` committed, ``+``
+recomputed) and exits 1 if any does.  A change that means to alter an output
+updates its committed line.
 
+    python scripts/output_digests.py --check
     python scripts/output_digests.py > after.txt
 
 Each output comes from a fresh subprocess running the checkout's own
@@ -12,7 +16,9 @@ Each output comes from a fresh subprocess running the checkout's own
 interval of 10 240 members at n = 24, past the cap, whose walk must reach
 members only.  With ``--n8`` the listing ends with one more line, the digest of
 ``verify --suite all --n-max 8 --format json``, which takes two to three
-minutes and 800 MiB on a 2-core machine and is left out by default.
+minutes and 800 MiB on a 2-core machine and is left out by default; the
+committed file ends with that line, which ``--check`` compares only with
+``--n8``.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+LISTING = ROOT / "scripts" / "output_digests.txt"
 
 # past the cap: a base of 2 atoms and eleven blocks of 2, whose interval up to
 # B_24 has 10 240 members
@@ -59,26 +66,52 @@ SCRIPT_COMMANDS = (("scripts/erratum_report.py", "10"),)
 N8_COMMANDS = (("verify", "--suite", "all", "--n-max", "8", "--format", "json"),)
 
 
+def listing(n8: bool) -> list[tuple[str, list[str]]]:
+    """Each output of the listing, in order, as its label (the text after
+    the digest) and the argv of the subprocess that prints it."""
+
+    def cli(args):
+        return "implattice " + " ".join(args), [sys.executable, "-m", "implattice", *args]
+
+    rows = [cli(args) for args in CLI_COMMANDS]
+    rows += [(" ".join(cmd), [sys.executable, *cmd]) for cmd in SCRIPT_COMMANDS]
+    return rows + [cli(args) for args in N8_COMMANDS if n8]
+
+
+def committed(n8: bool) -> list[str]:
+    """The committed listing's lines, without the n-max 8 line unless n8."""
+    n8_labels = {"implattice " + " ".join(args) for args in N8_COMMANDS}
+    lines = LISTING.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if n8 or line.split("  ", 1)[1] not in n8_labels]
+
+
 def digest(argv: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, check=True)
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
-def print_cli_digests(commands) -> None:
-    for args in commands:
-        print(f"{digest([sys.executable, '-m', 'implattice', *args])}  implattice {' '.join(args)}")
-
-
-def main(n8: bool) -> None:
-    print_cli_digests(CLI_COMMANDS)
-    for script, *args in SCRIPT_COMMANDS:
-        print(f"{digest([sys.executable, script, *args])}  {' '.join([script, *args])}")
-    if n8:
-        print_cli_digests(N8_COMMANDS)
+def main(n8: bool, check: bool) -> int:
+    lines = []
+    for label, argv in listing(n8):
+        lines.append(f"{digest(argv)}  {label}")
+        if not check:
+            print(lines[-1], flush=True)
+    if not check:
+        return 0
+    want = committed(n8)
+    differ = [f"- {line}" for line in want if line not in lines]
+    differ += [f"+ {line}" for line in lines if line not in want]
+    if lines != want and not differ:
+        differ = ["the lines are in another order"]
+    for line in differ:
+        print(line)
+    print(f"{len(lines)} outputs checked against {LISTING.name}, {len(differ)} lines differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--n8"]):
-        raise SystemExit(f"usage: {sys.argv[0]} [--n8]")
-    main(n8=len(sys.argv) > 1)
+    flags = sys.argv[1:]
+    if not set(flags) <= {"--n8", "--check"} or len(set(flags)) != len(flags):
+        raise SystemExit(f"usage: {sys.argv[0]} [--n8] [--check]")
+    raise SystemExit(main(n8="--n8" in flags, check="--check" in flags))

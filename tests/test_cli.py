@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -488,19 +489,92 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[-1] == "count=2 bell=2 ok"
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_output_digests():
+    spec = importlib.util.spec_from_file_location("output_digests", ROOT / "scripts" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    return digests
+
+
 def test_output_digest_commands_parse():
     # scripts/output_digests.py runs these in subprocesses; a command the
     # parser rejects would only show there as a usage error
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("output_digests", root / "scripts" / "output_digests.py")
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
+    digests = load_output_digests()
     parser = cli.build_parser()
     assert digests.CLI_COMMANDS and digests.N8_COMMANDS
     for argv in digests.CLI_COMMANDS + digests.N8_COMMANDS:
         parser.parse_args(list(argv))
     for script, *_ in digests.SCRIPT_COMMANDS:
-        assert (root / script).is_file()
+        assert (ROOT / script).is_file()
+
+
+# the listed outputs whose cold run takes 0.5 s or more: the n-max 6 and 7
+# verify runs, the n = 8 intervals and the two walks past the cap at n = 24
+SLOW_OUTPUTS = ("--n-max 6", "--n-max 7", "--n-max 8", "--n 8", '{"n":8', '{"n":24')
+
+
+def is_slow(label):
+    return any(slow in label for slow in SLOW_OUTPUTS)
+
+
+def in_process_stdout(capsys, monkeypatch, argv):
+    """The stdout of the listing's subprocess ``argv``, produced in this
+    process: ``python -m implattice ARGS`` through ``main``, a script
+    through runpy with its own ``sys.argv``."""
+    if argv[1] == "-m":
+        assert main(argv[3:]) == 0
+    else:
+        monkeypatch.setattr(sys, "argv", argv[1:])
+        monkeypatch.setattr(sys, "path", [*sys.path])  # the script prepends src
+        runpy.run_path(str(ROOT / argv[1]), run_name="__main__")
+    return capsys.readouterr().out.encode()
+
+
+def listing_mismatches(capsys, monkeypatch, digests):
+    """What the committed listing does not reproduce: ``"labels"`` when its
+    labels are not the script's, in order, and each fast output whose digest,
+    recomputed in this process, differs from its committed line."""
+    argvs = dict(digests.listing(n8=True))
+    committed = [line.split("  ", 1) for line in digests.committed(n8=True)]
+    bad = [] if [label for _, label in committed] == list(argvs) else ["labels"]
+    for want, label in committed:
+        if label in argvs and not is_slow(label):
+            out = in_process_stdout(capsys, monkeypatch, argvs[label])
+            if hashlib.sha256(out).hexdigest() != want:
+                bad.append(label)
+    return bad
+
+
+def test_committed_digest_listing_holds(capsys, monkeypatch):
+    # scripts/output_digests.txt is the script's listing, and its 15 fast
+    # outputs recompute to their committed digests
+    digests = load_output_digests()
+    assert sum(not is_slow(label) for label, _ in digests.listing(n8=True)) == 15
+    assert listing_mismatches(capsys, monkeypatch, digests) == []
+
+
+def test_digest_listing_check_sees_an_altered_line_and_a_dropped_command(capsys, monkeypatch, tmp_path):
+    # on a two-command listing: one committed digest altered, then one
+    # command dropped from the script but kept in the file
+    digests = load_output_digests()
+    kept = (("identity", "--n-max", "3"), ("table", "--n", "4"))
+    monkeypatch.setattr(digests, "CLI_COMMANDS", kept)
+    monkeypatch.setattr(digests, "SCRIPT_COMMANDS", ())
+    lines = []
+    for label, argv in digests.listing(n8=False):
+        lines.append(f"{hashlib.sha256(in_process_stdout(capsys, monkeypatch, argv)).hexdigest()}  {label}")
+    lines += digests.committed(n8=True)[-1:]
+    monkeypatch.setattr(digests, "LISTING", tmp_path / "listing.txt")
+    digests.LISTING.write_text("\n".join(lines) + "\n")
+    assert listing_mismatches(capsys, monkeypatch, digests) == []
+    digests.LISTING.write_text("\n".join(["0" * 64 + lines[0][64:]] + lines[1:]) + "\n")
+    assert listing_mismatches(capsys, monkeypatch, digests) == ["implattice identity --n-max 3"]
+    digests.LISTING.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(digests, "CLI_COMMANDS", kept[:1])
+    assert listing_mismatches(capsys, monkeypatch, digests) == ["labels"]
 
 
 # --- collector -----------------------------------------------------------------
@@ -532,6 +606,21 @@ def test_main_restores_the_callers_collector(capsys, monkeypatch, enabled):
         gc.enable()
     assert seen == [False, False]
     capsys.readouterr()
+
+
+def test_main_module_leaves_the_collector_off(capsys, monkeypatch):
+    # ``python -m implattice`` ends the process when main returns, so it
+    # turns the collector off first: main then hands back an off collector,
+    # and no pass runs over what the run left alive
+    monkeypatch.setattr(sys, "argv", ["implattice", "enumerate", "--n", "1"])
+    try:
+        with pytest.raises(SystemExit) as err:
+            runpy.run_module("implattice", run_name="__main__")
+        assert err.value.code == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.splitlines()[-1] == "count=2 bell=2 ok"
 
 
 def cyclic_garbage(*argv):

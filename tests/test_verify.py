@@ -1,8 +1,17 @@
 import pytest
 
-from implattice import formulas
-from implattice.algebra import Element, full_algebra, lattice_to_json, top_only
-from implattice.poset import interval, interval_to_dot, interval_to_json
+from implattice import formulas, verify
+from implattice.algebra import (
+    Element,
+    elements,
+    enumerate_all,
+    full_algebra,
+    is_sub,
+    join,
+    lattice_to_json,
+    top_only,
+)
+from implattice.poset import CLOSURES, interval, interval_to_dot, interval_to_json
 from implattice.verify import CLAIMS, SUITES, run_claims, run_suite, summarize
 
 
@@ -100,3 +109,85 @@ def test_library_paths_build_no_elements(cold_caches, monkeypatch):
     assert built == []
     Element(4, 0)
     assert len(built) == 1  # the counter sees a construction
+
+
+# --- closure sweeps: brute references and one check per class -------------------
+
+
+def test_brute_up_indicators_match_the_set_definition():
+    # the 2^n-bit shift-OR closure against the definition it replaced
+    for n in range(6):
+        lattices = enumerate_all(n)
+        indicators = list(verify._brute_up_indicators(n))
+        assert len(indicators) == len(lattices)
+        for A, got in zip(lattices, indicators):
+            masks = set(A._element_masks)
+            want = {m for m in range(1 << n) if any(m & e == e for e in masks)}
+            assert got == sum(1 << m for m in want), (n, A)
+
+
+def pairs_by_closure(closure, n):
+    """The pairs (y, z), y <= z, of L_n, by the closure of z, counted by
+    is_sub over every pair."""
+    close = CLOSURES[closure]
+    lattices = enumerate_all(n)
+    return [(y, close(z)) for y in lattices for z in lattices if is_sub(y, z)]
+
+
+@pytest.mark.parametrize("closure", sorted(CLOSURES))
+def test_closure_theorem_fails_exactly_the_pairs_of_the_failing_class(monkeypatch, closure):
+    # a check that fails only when cl(z) is B_n fails every pair of that
+    # class and no other, and runs once per y and class
+    calls = []
+
+    def failing_at_top(name, y, z):
+        calls.append((y, CLOSURES[name](z)))
+        return 0, int(CLOSURES[name](z) == full_algebra(z.n))
+
+    (claim,) = [c for c in CLAIMS if c.id == f"closure.theorem.{closure}"]
+    honest = [claim.run(n) for n in range(5)]
+    monkeypatch.setattr(verify, "closure_theorem_check", failing_at_top)
+    for n, v in enumerate(honest):
+        calls.clear()
+        w = claim.run(n)
+        pairs = pairs_by_closure(closure, n)
+        assert v.passed and w.params == v.params == {"n": n, "cases": len(pairs)}
+        assert w.lhs - w.rhs == sum(c == full_algebra(n) for _, c in pairs)
+        assert sorted(calls, key=repr) == sorted(set(pairs), key=repr)
+
+
+@pytest.mark.parametrize("closure", sorted(CLOSURES))
+def test_monotone_half_fails_exactly_the_pairs_of_the_failing_class(monkeypatch, closure):
+    # is_sub refusing B_n as the larger side fails the extensive half at the
+    # lattices that close to B_n, and the monotone half at every pair (a, g)
+    # whose cl(g) is B_n, checked once per a and class
+    calls = []
+
+    def refusing_top(x, y):
+        calls.append((x, y))
+        return is_sub(x, y) and y != full_algebra(y.n)
+
+    (claim,) = [c for c in CLAIMS if c.id == f"closure.{closure}.axioms"]
+    honest = [claim.run(n) for n in range(5)]
+    monkeypatch.setattr(verify, "is_sub", refusing_top)
+    for n, v in enumerate(honest):
+        calls.clear()
+        w = claim.run(n)
+        top, lattices = full_algebra(n), enumerate_all(n)
+        pairs = pairs_by_closure(closure, n)
+        assert v.passed and w.params == v.params
+        extensive = sum(CLOSURES[closure](A) == top for A in lattices)
+        assert w.lhs - w.rhs == extensive + sum(c == top for _, c in pairs)
+        assert len(calls) == len(lattices) + len(set(pairs))
+
+
+def test_brute_element_ops_check_sees_a_dropped_join(monkeypatch):
+    # B_3 without 0b011 = 0b001 | 0b010 loses the complement of 0b100 too;
+    # with complement made the identity, only that one join is missing
+    A = full_algebra(3)
+    assert verify._brute_element_ops_closed(A)
+    dropped = elements(A) - {join(Element(3, 0b001), Element(3, 0b010))}
+    monkeypatch.setattr(verify, "elements", lambda B: dropped)
+    assert not verify._brute_element_ops_closed(A)
+    monkeypatch.setattr(verify, "complement", lambda x: x)
+    assert not verify._brute_element_ops_closed(A)
