@@ -307,12 +307,17 @@ def _interned(
     images: Sequence[int] | Mapping[int, int] | None = None,
 ) -> ImpLattice:
     """The interned lattice of a base mask and block masks in any order,
-    each mask first relabeled through ``images`` (see :func:`remap`) when
-    given: the blocks are sorted by least atom and the key looked up by
+    each mask first relabeled through ``images`` when given, as by
+    :func:`remap` but over the memoized :func:`_atoms` of these atom masks:
+    the blocks are sorted by least atom and the key looked up by
     :func:`_lattice`."""
     if images is not None:
-        base = remap(base, images)
-        blocks = [remap(b, images) for b in blocks]
+        masks = []
+        for m in (base, *blocks):
+            masks.append(0)
+            for i in _atoms(m):
+                masks[-1] |= images[i]
+        base, *blocks = masks
     return _lattice(n, (base, tuple(sorted(blocks, key=lambda b: b & -b))))
 
 

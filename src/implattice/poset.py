@@ -11,13 +11,13 @@ into a verdict.
 The order is graded by block count, and every cover D < C is one move on C:
 merge two of its blocks, or absorb one block into its base (the partition
 lattice cover plus a base move).  The same moves give the members, the order
-and the Hasse edges.  The members of an interval are walked down from its
-upper end by the moves that stay above its lower end, so every key the walk
-reaches is a member and no containment test runs.  A poset stores only
-its members and the indices of its ends; its order and Hasse edges are
-derived on first use from one primitive, its cover lists: the members one
-move below each member, which the walk records as it goes (else
-:func:`_covered` makes the moves again), never by comparing element sets.
+and the Hasse edges, by one rule, :func:`_lower_moves`: the moves that stay
+above the lower end.  Walked down from the upper end by it, every key an
+interval's walk reaches is a member and no containment test runs.  A poset
+stores only its members and the indices of its ends; its order and Hasse
+edges are derived on first use from one primitive, its cover lists: the
+members one move below each member, which the walk records as it goes (else
+the rule makes the moves again), never by comparing element sets.
 :class:`IntervalPoset` states when those moves are all of the member set's
 covers.  The one exception is :func:`_containment`, the reference order the
 relabeled images are checked against: it compares element sets on purpose,
@@ -29,8 +29,9 @@ the walk also builds the whole order L_n = [{1}, B_n].  The sweeps take
 every interval they check as a slice of L_n instead (:func:`_slice`): L_n,
 its order and its covers are built once per n by :func:`_order`, the members
 of ``[A, C]`` are the bits of ``up[A] & down[C]``, and its order is L_n's
-restricted to them.  The closure sweeps likewise close each member of L_n
-once per closure (:func:`_closed`) and read closures as L_n indices.
+restricted to them, by :func:`_restricted`, which cuts the closed
+suborders too.  The closure sweeps likewise close each member of L_n once
+per closure (:func:`_closed`) and read closures as L_n indices.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class IntervalPoset(_Record):
     two blocks or one absorb of a block into the base.  That holds for an
     interval, which is convex, and for the closed suborders: Boolean
     subalgebras step by merges, principal filters by absorbing a singleton
-    block.  The walk caches the lists it found on its poset; the posets the
-    sweeps build read them off L_n's on each use (:class:`_Restricted`).
+    block.  The walk caches the lists it found on its poset, the sweeps'
+    posets (:func:`_restricted`) read them off L_n's; others redo its moves.
     """
 
     def __init__(self, members: tuple[ImpLattice, ...], lower_index: int, upper_index: int) -> None:
@@ -123,9 +124,10 @@ class IntervalPoset(_Record):
     @cached_property
     def _cover_lists(self) -> tuple[tuple[int, ...], ...]:
         """The indices of the members each member covers, in move order: the
-        walk's own when it built the poset, else :func:`_covered`'s."""
-        index = _key_index(self.members)
-        return tuple(tuple(_covered(index, C.key)) for C in self.members)
+        walk's own when it built the poset, else made again by its rule, which
+        drops no move onto a member, as each stays above the lower end."""
+        index, part = _key_index(self.members), _parts(self.lower.key)
+        return tuple(tuple([index[k] for k in _lower_moves(*C.key, part) if k in index]) for C in self.members)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -143,14 +145,13 @@ class IntervalPoset(_Record):
         return tuple(_fold_below(self, 1, lambda below: -sum(u * c for u, c in below)))
 
 
-def _lower_moves(base: int, blocks: tuple[int, ...], part: dict | None = None) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The one-move lower neighbours of ``(base, blocks)`` as mask keys:
-    absorb block i into the base, or merge blocks i < j.  The merged block
-    keeps block i's least atom, so it stays at position i.  With ``part``,
-    the :func:`_parts` of a lower end A, only the moves that stay above A:
-    absorb a block of base(A), merge two blocks of one part; without it,
-    every move, as for A = {1}, whose base holds every atom."""
-    parts = [-1] * len(blocks) if part is None else [part[b & -b] for b in blocks]
+def _lower_moves(base: int, blocks: tuple[int, ...], part: dict[int, int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The one-move lower neighbours of ``(base, blocks)`` above a lower end
+    A, as mask keys, for ``part`` the :func:`_parts` of A: absorb a block i
+    of base(A) into the base, or merge blocks i < j of one part (all moves
+    for A = {1}).  The merged block keeps block i's least atom, so it stays
+    at position i."""
+    parts = [part[b & -b] for b in blocks]
     for i, b in enumerate(blocks):
         p = parts[i]
         if p < 0:
@@ -171,12 +172,6 @@ def _parts(A: tuple[int, tuple[int, ...]]) -> dict[int, int]:
 def _key_index(members: tuple[ImpLattice, ...]) -> dict[tuple, int]:
     """The member index by mask key: ``{A.key: i}``."""
     return {A.key: i for i, A in enumerate(members)}
-
-
-def _covered(index: dict[tuple, int], C: tuple[int, tuple[int, ...]]) -> list[int]:
-    """The members one move below the mask key C, that is the members C
-    covers, as their indices under ``index``, a :func:`_key_index`."""
-    return [i for key in _lower_moves(*C) if (i := index.get(key)) is not None]
 
 
 def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
@@ -271,27 +266,29 @@ class _Restricted(IntervalPoset):
         return [[local[g] for g in covered[k] if g in local] for k in at]
 
 
-def _inside(lower: ImpLattice, upper: ImpLattice) -> int:
-    """The L_n indices of ``[lower, upper]`` as one mask,
+def _inside(lower: ImpLattice, upper: ImpLattice) -> list[int]:
+    """The L_n indices of ``[lower, upper]``, ascending: the bits of
     ``up[lower] & down[upper]``."""
     L, index, up = _order(upper.n)
     a, c = index[lower.key], index[upper.key]
     if not up[a] >> c & 1:
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
-    return up[a] & L.down[c]
+    return list(_bits(up[a] & L.down[c]))
+
+
+def _restricted(at: list[int], lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
+    """The subposet of L_n on the ascending L_n indices ``at``, with ends
+    lower and upper, whose members keep L_n's canonical order."""
+    L, index, _ = _order(upper.n)
+    members = tuple([L.members[g] for g in at])
+    return _Restricted(members, at.index(index[lower.key]), at.index(index[upper.key]))
 
 
 @cache
 def _slice(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     """``[lower, upper]`` as a slice of the per-n order: the members of L_n
-    in :func:`_inside`.  They come out in canonical order, so a slice has
-    the members and end indices :func:`interval` gives."""
-    L, index, _ = _order(upper.n)
-    inside = _inside(lower, upper)
-    members = tuple(L.members[g] for g in _bits(inside))
-    lower_index = (inside & ((1 << index[lower.key]) - 1)).bit_count()
-    upper_index = (inside & ((1 << index[upper.key]) - 1)).bit_count()
-    return _Restricted(members, lower_index, upper_index)
+    in :func:`_inside`, and the fields :func:`interval` gives."""
+    return _restricted(_inside(lower, upper), lower, upper)
 
 
 def _fold_below(
@@ -360,10 +357,8 @@ def closed_suborder(closure: str, lower: ImpLattice, upper: ImpLattice) -> Inter
     close = _closure(closure)
     if close(lower) != lower or close(upper) != upper:
         raise NotClosedEndpointError("closed-suborder endpoints must be closure fixed points")
-    L = _order(upper.n)[0]
     cl = _closed(closure, upper.n)
-    members = tuple(L.members[g] for g in _bits(_inside(lower, upper)) if cl[g] == g)
-    return _Restricted(members, members.index(lower), members.index(upper))
+    return _restricted([g for g in _inside(lower, upper) if cl[g] == g], lower, upper)
 
 
 @cache

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
+from operator import eq
 from typing import Callable, Iterator, NamedTuple
 
 from . import algebra, formulas
@@ -120,24 +121,29 @@ def _claim_complement_fixed_points(n: int) -> Iterator[bool]:
         yield fixed == is_boolean_subalgebra(A) == brute_closed
 
 
-def _closure_axioms(closure: str, n: int) -> Iterator[bool]:
-    """The named closure is extensive, idempotent, and monotone; the
-    monotone half reads the closures of L_n off its closure index, and as its
-    case (a, g) reads only ``cl(a)`` and ``cl(g)``, checks each class once."""
-    close = CLOSURES[closure]
-    lattices = enumerate_all(n)
-    for A in lattices:
-        closed = close(A)
-        yield is_sub(A, closed) and close(closed) == closed
-    L, _, up = _order(n)
+def _per_class(closure: str, n: int, check: Callable[[int, int], bool]) -> Iterator[bool]:
+    """A verdict for every pair a <= g of L_n indices from a check that reads
+    only a and the closure class of g: ``check(a, g)`` runs once per a and
+    class, at its first g, and its verdict is yielded for each pair in it."""
+    up = _order(n)[2]
     cl = _closed(closure, n)
-    for a in range(len(L)):
-        c1 = L.members[cl[a]]
+    for a in range(len(up)):
         verdicts: dict[int, bool] = {}
         for g in _bits(up[a]):
             if (c := cl[g]) not in verdicts:
-                verdicts[c] = is_sub(c1, L.members[c])
+                verdicts[c] = check(a, g)
             yield verdicts[c]
+
+
+def _closure_axioms(closure: str, n: int) -> Iterator[bool]:
+    """The named closure is extensive, idempotent, and monotone; the monotone
+    half reads only ``cl(a)`` and ``cl(g)`` off L_n's closure index."""
+    close = CLOSURES[closure]
+    for A in enumerate_all(n):
+        closed = close(A)
+        yield is_sub(A, closed) and close(closed) == closed
+    members, cl = _order(n)[0].members, _closed(closure, n)
+    yield from _per_class(closure, n, lambda a, g: is_sub(members[cl[a]], members[cl[g]]))
 
 
 def _brute_up_indicators(n: int) -> Iterator[int]:
@@ -172,26 +178,18 @@ def _claim_complement_saturation(n: int) -> Iterator[bool]:
 
 def _claim_up_saturation(n: int) -> Iterator[bool]:
     """Upward closure hits the whole algebra exactly at the Boolean
-    subalgebras (base 0)."""
+    subalgebras: base 0, so that the bottom of B_n is an element."""
     top = full_algebra(n)
     for A in enumerate_all(n):
         saturates = up_closure(A) == top
-        yield saturates == (A.key[0] == 0) == is_boolean_subalgebra(A)
+        yield saturates == (A.key[0] == 0) == (0 in A._element_masks)
 
 
 def _closure_theorem(closure: str, n: int) -> Iterator[bool]:
-    """Mobius/closure identity for the named closure, all pairs y <= z, with z
-    over the bits of ``up[y]``.  Both sides read only y and ``cl(z)``, so each
-    y checks each class once and yields its verdict for every pair in it."""
-    L, _, up = _order(n)
-    cl = _closed(closure, n)
-    for a, y in enumerate(L.members):
-        verdicts: dict[int, bool] = {}
-        for g in _bits(up[a]):
-            if (c := cl[g]) not in verdicts:
-                lhs, rhs = closure_theorem_check(closure, y, L.members[g])
-                verdicts[c] = lhs == rhs
-            yield verdicts[c]
+    """Mobius/closure identity for the named closure, all pairs y <= z.  Both
+    sides read only y and ``cl(z)``, so each y checks each class once."""
+    members = _order(n)[0].members
+    return _per_class(closure, n, lambda a, g: eq(*closure_theorem_check(closure, members[a], members[g])))
 
 
 def _claim_product_formula_vs_oracle(n: int) -> Iterator[bool]:

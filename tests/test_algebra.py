@@ -192,6 +192,12 @@ def test_from_elements_examples():
         from_elements(set(), 2)
 
 
+def test_from_elements_refuses_an_element_over_another_n():
+    # the family is closed as a set of masks, but one element lives in B_3
+    with pytest.raises(ContextMismatchError, match="element has n=3, expected 2"):
+        from_elements({el(2), el(3, 0)}, 2)
+
+
 def test_from_elements_roundtrip_exhaustive(closed_families_oracle):
     # over every nonempty subset of B_n: canonicalization succeeds iff the
     # family is brute-force closed, and elements() inverts it
@@ -370,6 +376,12 @@ def test_flag_examples():
     assert not is_boolean_subalgebra(lat(3, [0, 1], [2]))
     assert not is_ultrafilter(lat(3, [0, 1], [2]))
     assert is_ultrafilter(principal_ultrafilter(3, 1))
+
+
+@pytest.mark.parametrize("atom", [-1, 3])
+def test_principal_ultrafilter_refuses_an_atom_out_of_range(atom):
+    with pytest.raises(ValueError, match=f"atom {atom} out of range for n=3"):
+        principal_ultrafilter(3, atom)
 
 
 # --- atom permutations ---------------------------------------------------------

@@ -173,6 +173,14 @@ def test_json_n_is_capped_before_anything_is_built(capsys, command, flag):
 
 
 @pytest.mark.parametrize("command", ["mobius", "export"])
+def test_interval_commands_need_n_or_an_end(capsys, command):
+    assert main([command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need --lower/--upper or --n\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["mobius", "export"])
 def test_conflicting_n_is_usage_error(capsys, command):
     lower = '{"n":2,"base":[0],"blocks":[[1]]}'
     assert main([command, "--n", "5", "--lower", lower]) == 2

@@ -1,8 +1,9 @@
 """Module hygiene of the library: every name a module imports is used in
-that module, only ``algebra`` constructs ``ImpLattice`` objects, only
-``verify`` constructs ``Verdict`` objects, the test helper that empties
-the memos knows every memo and every row table, and importing the CLI
-loads no heavy standard module that the interpreter does not load anyway.
+that module, each module imports only the layers before it, only
+``algebra`` constructs ``ImpLattice`` objects, only ``verify`` constructs
+``Verdict`` objects, the test helper that empties the memos knows every
+memo and every row table, and importing the CLI loads no heavy standard
+module that the interpreter does not load anyway.
 
 ``__init__.py`` is skipped: it imports names to re-export them.
 """
@@ -46,6 +47,62 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# each module may import only the modules before it: the oracle (poset)
+# never imports the closed forms (formulas) it is checked against
+LAYERS = ("algebra", "poset", "formulas", "verify", "cli", "__main__")
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules that ``source`` imports, relatively or by the
+    package name, at module level or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package starts from the package
+            module = ".".join(filter(None, ["implattice" if node.level else "", node.module]))
+            names = [f"{module}.{a.name}" for a in node.names] if module == "implattice" else [module]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("implattice.")}
+    return found
+
+
+def later_layers(stem: str, source: str) -> set[str]:
+    """The package modules ``source``, module ``stem``, imports that do not
+    come before it in :data:`LAYERS`."""
+    return package_imports(source) - set(LAYERS[: LAYERS.index(stem)])
+
+
+def test_checker_sees_every_form_of_package_import():
+    source = (
+        "import json\n"
+        "from . import algebra, formulas\n"
+        "from .poset import interval\n"
+        "import implattice.verify\n"
+        "from implattice import cli\n"
+        "def f():\n"
+        "    from implattice.poset import _slice\n"
+        "    from .__main__ import main\n"
+    )
+    assert package_imports(source) == {"algebra", "formulas", "poset", "verify", "cli", "__main__"}
+
+
+def test_layers_name_every_module():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_modules_import_only_earlier_layers(path):
+    assert later_layers(path.stem, path.read_text(encoding="utf-8")) == set()
+
+
+def test_layer_guard_sees_the_oracle_import_a_closed_form():
+    source = (PACKAGE / "poset.py").read_text(encoding="utf-8")
+    assert later_layers("poset", source + "from .formulas import bell\n") == {"formulas"}
 
 
 def constructor_calls(source: str, name: str = "ImpLattice") -> list[int]:

@@ -247,9 +247,9 @@ def test_slice_equals_the_walk_every_interval(cold_caches):
 def test_walk_hands_over_the_covers_it_found(cold_caches):
     # the walk records, for each member it keeps, the kept keys one move
     # below it, also those it had reached before; remapped to member
-    # indices they are the cover lists that _covered generates again over
-    # the member index, member by member and in move order, which is also
-    # what a poset built without the walk derives
+    # indices they are the cover lists that a poset built without the walk
+    # derives by making the walk's moves again, member by member and in
+    # move order
     posets = [
         interval(lower, upper)
         for n in range(5)
@@ -260,10 +260,25 @@ def test_walk_hands_over_the_covers_it_found(cold_caches):
     posets += [interval(top_only(n), full_algebra(n)) for n in range(5, 7)]
     for P in posets:
         assert "_cover_lists" in vars(P)
-        index = poset._key_index(P.members)
-        assert P._cover_lists == tuple(tuple(poset._covered(index, C.key)) for C in P.members)
         fresh = poset.IntervalPoset(P.members, P.lower_index, P.upper_index)
         assert fresh._cover_lists == P._cover_lists
+
+
+def test_equal_posets_hash_equal(cold_caches):
+    # two walks of one interval, a poset built by hand over the same fields,
+    # and slices cut before and after the caches are emptied (so over other
+    # lattice objects) compare and hash by their fields
+    for n in range(4):
+        top = full_algebra(n)
+        for lower in enumerate_all(n):
+            P, Q, S = interval(lower, top), interval(lower, top), poset._slice(lower, top)
+            fresh = poset.IntervalPoset(P.members, P.lower_index, P.upper_index)
+            cold_caches()
+            T = poset._slice(lower, top)
+            assert P is not Q and S is not T and S.members[0] is not T.members[0]
+            assert P == Q == fresh and hash(P) == hash(Q) == hash(fresh)
+            assert S == T and hash(S) == hash(T)
+            assert len({P, Q, fresh, S, T}) == 2
 
 
 def test_walk_makes_only_the_moves_it_keeps(cold_caches):
