@@ -1,7 +1,4 @@
-import gc
-
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    gc.disable()  # the process ends with main: a pass after it would only scan what the run left
-    raise SystemExit(main())
+    raise SystemExit(entry())

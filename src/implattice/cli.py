@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .algebra import (
@@ -407,7 +408,13 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
         else:
-            sys.stdout.write(text)
+            try:
+                print(text, end="", flush=True)  # a closed pipe fails here, not at the exit's flush
+            except OSError as exc:  # the exit's own flush would fail again: the rest goes to devnull
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+                raise UsageError(f"cannot write to stdout: {exc.strerror or exc}") from exc
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -416,5 +423,15 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> int:
+    """The process entry of ``implattice`` and ``python -m implattice``: the
+    shutdown collections ignore ``gc.disable()`` but skip frozen objects."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

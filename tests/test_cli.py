@@ -482,19 +482,64 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
     assert "Traceback" not in captured.err
 
 
-def test_console_entry_point():
-    # the child finds the package in this checkout's src, installed or not
-    env = dict(os.environ)
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "implattice", "enumerate", "--n", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
+def spawn(*argv, stdout=subprocess.PIPE):
+    """``python -m implattice ARGV`` in a child process that finds the package
+    in this checkout's src, installed or not, with its stdout buffered as it
+    is by default, whatever this process's environment says."""
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-m", "implattice", *argv]
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def test_python_m_implattice_exits_by_the_contract(capsys):
+    # the codes and streams of the real process exit, through the process entry
+    proc = spawn("enumerate", "--n", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(capsys, "enumerate", "--n", "1")[1]
     assert proc.stdout.splitlines()[-1] == "count=2 bell=2 ok"
+    proc = spawn("enumerate", "--n", "9")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: n 9 exceeds the safety cap")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "--n", "1"), ("enumerate", "--n", "7"), ("verify", "--n-max", "3")],
+    ids=" ".join,
+)
+def test_closed_stdout_is_a_usage_error(argv):
+    # a pipe nobody reads: the write (a large output) or main's flush (a
+    # small one) fails, not the exit's own flush, which would print
+    # "Exception ignored" and exit 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = spawn(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write to stdout: Broken pipe\n"
+
+
+def test_console_script_is_the_entry_the_main_module_calls(monkeypatch):
+    # pyproject's ``implattice`` script and ``python -m implattice`` name one
+    # function, so both processes end through the same entry
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["implattice"]
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
+    calls = []
+
+    def recording():
+        calls.append(name)
+        return 7
+
+    monkeypatch.setattr(sys.modules[module], name, recording)
+    with pytest.raises(SystemExit) as err:
+        runpy.run_module("implattice", run_name="__main__")
+    assert (calls, err.value.code) == ([name], 7)
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -604,6 +649,7 @@ def test_main_restores_the_callers_collector(capsys, monkeypatch, enabled):
     try:
         assert main(["enumerate", "--n", "1"]) == 0
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0  # only the process entry freezes
         assert main(["enumerate", "--n", "9"]) == 2
         assert gc.isenabled() is enabled
         with pytest.raises(SystemExit) as err:
@@ -618,15 +664,19 @@ def test_main_restores_the_callers_collector(capsys, monkeypatch, enabled):
 
 def test_main_module_leaves_the_collector_off(capsys, monkeypatch):
     # ``python -m implattice`` ends the process when main returns, so it
-    # turns the collector off first: main then hands back an off collector,
-    # and no pass runs over what the run left alive
+    # turns the collector off first: main then hands back an off collector.
+    # The interpreter's shutdown collections run anyway, so it also freezes
+    # what is alive, and they skip that; here it is this process's, so the
+    # cleanup thaws it
     monkeypatch.setattr(sys, "argv", ["implattice", "enumerate", "--n", "1"])
     try:
         with pytest.raises(SystemExit) as err:
             runpy.run_module("implattice", run_name="__main__")
         assert err.value.code == 0
         assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0
     finally:
+        gc.unfreeze()
         gc.enable()
     assert capsys.readouterr().out.splitlines()[-1] == "count=2 bell=2 ok"
 
