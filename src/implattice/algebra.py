@@ -321,6 +321,17 @@ def _interned(
     return _lattice(n, (base, tuple(sorted(blocks, key=lambda b: b & -b))))
 
 
+def _contraction(C: ImpLattice) -> list[int]:
+    """The atom images that rewrite each D <= C over the blocks of C, as
+    ``_interned(C.w, *D.key, images)``: every atom of C's block i goes to
+    atom i and every atom of C's base to nothing, so [D, C] is [D', B_w]."""
+    images = [0] * C.n
+    for i, b in enumerate(C.key[1]):
+        for x in _atoms(b):
+            images[x] = 1 << i
+    return images
+
+
 def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
     """Containment of element sets, decided combinatorially.
 

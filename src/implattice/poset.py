@@ -53,6 +53,7 @@ from .algebra import (
     up_closure,
     _atoms,
     _bits,
+    _contraction,
     _interned,
     _lattice,
     _Record,
@@ -403,34 +404,36 @@ def closure_theorem_check(closure: str, y: ImpLattice, z: ImpLattice) -> tuple[i
     return sums.get(c, 0), 0 if closed is None else closed[c]
 
 
-@cache
+def _factors(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset]:
+    """The cached factors ``(p1, p2)`` of ``[A, B_n]`` through ``a = base(A)``: the slice
+    ``[A', B_w]``, for A' the :func:`_contraction` of A onto the w atoms outside a, and L_|a|."""
+    k = A.key[0].bit_count()
+    w = A.n - k
+    return _slice(_interned(w, *A.key, _contraction(up_closure(A))), full_algebra(w)), _order(k)[0]
+
+
 def product_decomposition(A: ImpLattice) -> tuple[IntervalPoset, IntervalPoset, tuple[tuple[int, int], ...]]:
     """Factorization ``(p1, p2, iso)`` of ``[A, B]`` through the base of A:
-    (subalgebras of [a,1] over A) x (all of [0,a]).
+    (subalgebras of [a,1] over A) x (all of [0,a]), the :func:`_factors`.
 
     Each member C splits into its part above ``a = base(A)`` (a Boolean
-    subalgebra of ``[a, 1]``, relabeled onto the atoms outside a) and its
+    subalgebra of ``[a, 1]``, contracted onto the atoms outside a) and its
     part below a (a sublattice of ``[0, a]``, relabeled onto the atoms of a).
     The first part depends only on C's blocks outside a, the second only on
     C's base and its blocks inside a, so each distinct part is relabeled
     once, ``len(p1) + len(p2)`` in all.  ``iso[i]`` gives the (p1, p2)
     member indices for member i of ``_slice(A, full_algebra(A.n))``; the
     map is a bijection preserving and reflecting order, so the Mobius value
-    of the whole interval is the product of the factors'.
+    of the whole interval is the product of the factors'.  The pairing is
+    built on each call and kept by no memo.
     """
-    n = A.n
-    a, blocks = A.key
-    # relabel the atoms outside a, and those of a, onto 0, 1, ... in order
-    out_images = {x: 1 << i for i, x in enumerate(c for c in range(n) if not a >> c & 1)}
+    a = A.key[0]
+    p1, p2 = _factors(A)
+    n1, n2 = p1.upper.n, p2.upper.n
+    out_images = _contraction(up_closure(A))
     in_images = {x: 1 << i for i, x in enumerate(_atoms(a))}
-    n1, n2 = len(out_images), len(in_images)
-
-    lower1 = _interned(n1, 0, blocks, out_images)
-    p1 = _slice(lower1, full_algebra(n1))
-    index1 = _key_index(p1.members)
-    p2, index2, _ = _order(n2)
-
-    keys = [C.key for C in _slice(A, full_algebra(n)).members]
+    index1, index2 = _key_index(p1.members), _order(n2)[1]
+    keys = [C.key for C in _slice(A, full_algebra(A.n)).members]
     # A <= C forces every block of C inside or outside a
     above = [tuple(b for b in bs if not b & a) for _, bs in keys]
     below = [(base, tuple(b for b in bs if b & a)) for base, bs in keys]

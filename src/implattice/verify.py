@@ -41,6 +41,7 @@ from .algebra import (
     up_closure,
     _atoms,
     _bits,
+    _contraction,
     _interned,
 )
 from .poset import (
@@ -53,6 +54,7 @@ from .poset import (
     product_decomposition,
     _closed,
     _containment,
+    _factors,
     _order,
     _product_order,
     _slice,
@@ -240,7 +242,7 @@ def _claim_product_mu(n: int) -> Iterator[bool]:
     """mu multiplies across the factorization."""
     top = full_algebra(n)
     for A in enumerate_all(n):
-        p1, p2, _ = product_decomposition(A)
+        p1, p2 = _factors(A)
         whole, mu1, mu2 = (mobius_oracle(P)[P.upper_index] for P in (_slice(A, top), p1, p2))
         yield whole == mu1 * mu2
 
@@ -325,13 +327,6 @@ def _claim_atom_transposition(n: int) -> Iterator[bool]:
                 yield lhs == rhs
 
 
-def _contract(C: ImpLattice, D: ImpLattice) -> ImpLattice:
-    """Rewrite D <= C over the atoms of C (blocks indexed by least atom)."""
-    # C has base 0, so D <= C makes D's base and blocks unions of C's blocks
-    images = {a: 1 << i for i, cb in enumerate(C.key[1]) for a in _atoms(cb)}
-    return _interned(C.w, *D.key, images)
-
-
 def _claim_subalgebra_relabel(n: int) -> Iterator[bool]:
     """Relabeling a k-atom Boolean subalgebra onto B_k identifies the
     interval below it with the whole order over B_k, so equal-rank
@@ -343,7 +338,8 @@ def _claim_subalgebra_relabel(n: int) -> Iterator[bool]:
             continue
         k = C.w
         below = _slice(one, C)
-        image = [_contract(C, D) for D in below.members]
+        images = _contraction(C)
+        image = [_interned(k, *D.key, images) for D in below.members]
         yield set(image) == set(enumerate_all(k))
         yield _containment(image) == below.down
         yield len(below) == formulas.bell(k + 1)

@@ -55,9 +55,8 @@ def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
     hold the posets, and so their cached orders, Mobius values and covers, the
     per-n orders the slices are cut from, the per-n closure indices, the
-    product decompositions, the interned lattices and the atom tuples) and
-    the Stirling, chain-sum, corrected-sum and composition row tables,
-    trimmed back to row 0."""
+    interned lattices and the atom tuples) and the Stirling, chain-sum,
+    corrected-sum and composition row tables, trimmed back to row 0."""
     from implattice import algebra, formulas, poset
 
     for fn in (
@@ -68,7 +67,6 @@ def clear_caches():
         poset._slice,
         poset._closed,
         poset._closure_row,
-        poset.product_decomposition,
     ):
         fn.cache_clear()
     del formulas._STIRLING_ROWS[1:]

@@ -25,10 +25,12 @@ from implattice.algebra import (
     principal_ultrafilter,
     top_only,
     _bits,
+    _contraction,
+    _interned,
     _lattice,
     _sub_masks,
 )
-from implattice import poset
+from implattice import poset, verify
 from implattice.formulas import bell, mobius_product_formula
 from implattice.poset import (
     CLOSURES,
@@ -49,11 +51,12 @@ from implattice.poset import (
     _closed,
     _closure_row,
     _containment,
+    _factors,
     _fold_below,
     _order,
     _product_order,
+    _slice,
 )
-from implattice.verify import _contract
 
 
 def mask(atoms):
@@ -62,6 +65,11 @@ def mask(atoms):
 
 def lat(n, base, *blocks):
     return ImpLattice(n, (mask(base), tuple(mask(b) for b in blocks)))
+
+
+def _contract(C, D):
+    """D <= C rewritten over the blocks of C by the library's contraction."""
+    return _interned(C.w, *D.key, _contraction(C))
 
 
 def mu_top(P):
@@ -442,34 +450,44 @@ def test_a_dropped_poset_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
-def contract_onto(A, C):
-    """A <= C rewritten over the blocks of C: block i of C becomes atom i and
-    the atoms of C's base map to nothing, so [A, C] is [A', B_w(C)]."""
-    image = {a: 1 << i for i, block in enumerate(C.blocks) for a in block.atoms}
-    image.update((a, 0) for a in C.base.atoms)
-
-    def relabel(x):
-        out = 0
-        for a in x.atoms:
-            out |= image[a]
-        return out
-
-    blocks = sorted((relabel(b) for b in A.blocks), key=lambda b: b & -b)
-    return ImpLattice(C.w, (relabel(A.base), tuple(blocks)))
+def test_contraction_maps_every_interval_onto_a_whole_order():
+    # [D, C] is [D', B_w], w the block count of C, for every comparable
+    # pair, C with a nonempty base included: members and order (through
+    # containment of element sets, which shares no code with the moves),
+    # and block i of C is atom i: the member that absorbs it is [{i}, 1]
+    pairs = based = 0
+    for n in range(5):
+        lattices = enumerate_all(n)
+        for C in lattices:
+            base, blocks = C.key
+            for i, b in enumerate(blocks):
+                absorbed = _lattice(n, (base | b, blocks[:i] + blocks[i + 1 :]))
+                assert _contract(C, absorbed) is principal_ultrafilter(C.w, i), (C, i)
+            for D in lattices:
+                if not is_sub(D, C):
+                    continue
+                pairs += 1
+                based += C.key[0] != 0
+                P = _slice(D, C)
+                image = [_contract(C, M) for M in P.members]
+                whole = _slice(_contract(C, D), full_algebra(C.w))
+                assert len(image) == len(whole) and set(image) == set(whole.members), (D, C)
+                assert _containment(image) == P.down, (D, C)
+    assert (pairs, based) == (434, 213)
 
 
 def test_product_formula_on_every_interval():
     # the closed form of [A, B_n], carried to every [A, C] by contraction:
     # arithmetic that shares no code with the walk, the order or the fold
-    pairs = [0] * 5
-    for n in range(5):
+    pairs = [0] * 6
+    for n in range(6):
         lattices = enumerate_all(n)
         for A in lattices:
             for C in lattices:
                 if is_sub(A, C):
                     pairs[n] += 1
-                    assert mobius_between(A, C) == mobius_product_formula(contract_onto(A, C)), (A, C)
-    assert pairs == [1, 3, 12, 60, 358]
+                    assert mobius_between(A, C) == mobius_product_formula(_contract(C, A)), (A, C)
+    assert pairs == [1, 3, 12, 60, 358, 2471]
 
 
 def test_mu_top_signed_factorial():
@@ -734,6 +752,29 @@ def test_poset_layer_agrees_across_threads(cold_caches):
 
 
 # --- product factorization ---------------------------------------------------------
+
+
+def test_the_pairing_is_not_kept(monkeypatch):
+    # the pairing lives for one call: the mu claim reads only the factors,
+    # the cached slice and per-n order that product_decomposition returns
+    assert not hasattr(product_decomposition, "cache_info")
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return product_decomposition(A)
+
+    monkeypatch.setattr(poset, "product_decomposition", counting)
+    monkeypatch.setattr(verify, "product_decomposition", counting)
+    assert all(v.passed for v in verify.run_claims(["product.mu_multiplicative"], 4))
+    assert calls == []
+    verify.run_claims(["product.pairing_bijection"], 4)
+    assert len(calls) == sum(bell(n + 1) for n in range(5))
+    for n in range(5):
+        for A in enumerate_all(n):
+            p1, p2 = _factors(A)
+            q1, q2, _ = product_decomposition(A)
+            assert q1 is p1 and q2 is p2
 
 
 def test_product_examples():
