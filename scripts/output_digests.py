@@ -56,6 +56,8 @@ CLI_COMMANDS = (
     ("table", "--n-max", "100"),
     ("table", "--n-max", "100", "--format", "json"),
     ("table", "--n", "100", "--format", "json"),
+    ("table", "--n-max", "30", "--k", "4"),
+    ("table", "--n", "12", "--k", "5", "--format", "json"),
     ("identity", "--n-max", "100"),
     ("identity", "--n-max", "100", "--format", "json"),
 )

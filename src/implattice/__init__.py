@@ -53,6 +53,7 @@ from .formulas import (
     mu_top_closed_form,
     partition_mobius,
     rank_one_chain_identity,
+    stirling1,
     stirling2,
 )
 from .poset import (

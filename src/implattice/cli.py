@@ -248,18 +248,19 @@ def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0 if all_ok else 1
 
 
-def _json_sum(value: str | None) -> str:
+def _json_sum(value: int | None) -> str:
     return "null" if value is None else f'"{value}"'  # digits need no escapes
 
 
-def _table_json(rows: list[dict], all_ok: bool) -> str:
+def _table_json(rows: list[tuple], all_ok: bool) -> str:
     """``json.dumps({"command": "table", "rows": rows, "all_ok": all_ok}, indent=2)``
-    byte for byte, one f-string per row: the encoder has no C path for ``indent``."""
+    byte for byte, each row an object of the fields of :func:`cmd_table`'s tuple and its
+    chain count, one f-string per row: the encoder has no C path for ``indent``."""
     items = [
-        f'{{\n      "n": {r["n"]},\n      "k": {r["k"]},\n      "chain": "{r["chain"]}",\n'
-        f'      "chain_count": {r["chain_count"]},\n      "composition": {_json_sum(r["composition"])},\n'
-        f'      "oracle": {_json_sum(r["oracle"])},\n      "match": {str(r["match"]).lower()}\n    }}'
-        for r in rows
+        f'{{\n      "n": {n},\n      "k": {k},\n      "chain": "{chain}",\n'
+        f'      "chain_count": {chain_count(k, n)},\n      "composition": {_json_sum(composition)},\n'
+        f'      "oracle": {_json_sum(oracle)},\n      "match": {"true" if ok else "false"}\n    }}'
+        for n, k, chain, composition, oracle, ok in rows
     ]
     rows_json = _json_items(items, "  ")
     fields = ['"command": "table"', f'"rows": {rows_json}', f'"all_ok": {str(all_ok).lower()}']
@@ -272,52 +273,30 @@ def cmd_table(args: argparse.Namespace) -> tuple[str, int]:
     single = args.n is not None
     top = args.n if single else args.n_max
     _sum_range_check(top, "n" if single else "n-max", args.override_cap)
-    ns = [top] if single else list(range(1, top + 1))
     if args.k is not None and not 1 <= args.k <= top:
         raise UsageError(f"need 1 <= k <= {top} (the largest n), got k={args.k}")
-    rows = []
+    rows = []  # (n, k, chain, composition, oracle, match); a null cell compares nothing
     all_ok = True
-    for n in ns:
-        ks = [args.k] if args.k is not None else list(range(1, n + 1))
-        for k in ks:
+    for n in [top] if single else range(1, top + 1):
+        for k in range(1, n + 1) if args.k is None else [args.k]:
             if k > n:
                 continue  # an n-max sweep has no (k, n) row until n reaches k
             chain = mu_rank_sum_chain(k, n)
-            composition = (
-                mu_rank_sum_composition(k, n) if n <= COMPOSITION_TABLE_CAP else None
-            )
+            composition = mu_rank_sum_composition(k, n) if n <= COMPOSITION_TABLE_CAP else None
             oracle = mu_rank_sum_oracle(k, n) if n <= ORACLE_TABLE_CAP else None
-            ok = all(
-                other is None or other == chain for other in (composition, oracle)
-            )
+            ok = composition in (None, chain) and oracle in (None, chain)
             all_ok = all_ok and ok
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "chain": str(chain),
-                    "chain_count": chain_count(k, n),
-                    "composition": None if composition is None else str(composition),
-                    "oracle": None if oracle is None else str(oracle),
-                    "match": ok,
-                }
-            )
+            rows.append((n, k, chain, composition, oracle, ok))
     if args.fmt == "json":
         text = _table_json(rows, all_ok)
     else:
         header = ["n", "k", "chain", "composition", "oracle", "ok"]
-        table_rows = [
-            [
-                str(r["n"]),
-                str(r["k"]),
-                r["chain"],
-                "-" if r["composition"] is None else r["composition"],
-                "-" if r["oracle"] is None else r["oracle"],
-                "yes" if r["match"] else "NO",
-            ]
-            for r in rows
+        cells = [
+            [str(n), str(k), str(chain), "-" if c is None else str(c), "-" if o is None else str(o),
+             "yes" if ok else "NO"]
+            for n, k, chain, c, o, ok in rows
         ]
-        text = "\n".join(_text_table(header, table_rows))
+        text = "\n".join(_text_table(header, cells))
     return text, 0 if all_ok else 1
 
 

@@ -70,6 +70,23 @@ def _stirling_row(n: int) -> list[int]:
     return _table_row(_STIRLING_ROWS, n, _next_stirling_row)
 
 
+def _next_stirling1_row(rows: list[list[int]]) -> list[int]:
+    m, prev = len(rows) - 1, rows[-1] + [0]
+    return [0] + [prev[k - 1] - m * prev[k] for k in range(1, len(prev))]
+
+
+_STIRLING1_ROWS: list[list[int]] = [[1]]
+
+
+def stirling1(n: int, k: int) -> int:
+    """Signed Stirling numbers of the first kind: (-1)^(n-k) times the
+    permutations of an n-set with k cycles, by s(m+1,k) = s(m,k-1) - m*s(m,k).
+    They equal the rank sums :func:`mu_rank_sum_chain` and share no row with them."""
+    if n < 0 or k < 0:
+        raise ValueError(f"stirling1 needs n, k >= 0, got ({n}, {k})")
+    return _table_row(_STIRLING1_ROWS, n, _next_stirling1_row)[k] if k <= n else 0
+
+
 def bell(n: int) -> int:
     """Total number of set partitions: the Stirling row sum."""
     if n < 0:

@@ -37,6 +37,8 @@ per closure (:func:`_closed`) and read closures as L_n indices.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -54,6 +56,7 @@ from .algebra import (
     _atoms,
     _bits,
     _contraction,
+    _full_mask,
     _interned,
     _lattice,
     _Record,
@@ -127,8 +130,9 @@ class IntervalPoset(_Record):
         """The indices of the members each member covers, in move order: the
         walk's own when it built the poset, else made again by its rule, which
         drops no move onto a member, as each stays above the lower end."""
-        index, part = _key_index(self.members), _parts(self.lower.key)
-        return tuple(tuple([index[k] for k in _lower_moves(*C.key, part) if k in index]) for C in self.members)
+        index = {C.key[1]: i for i, C in enumerate(self.members)}  # blocks fix a member
+        part = _parts(self.lower.key)
+        return tuple(tuple([index[k] for k in _lower_moves(C.key[1], part) if k in index]) for C in self.members)
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -146,20 +150,21 @@ class IntervalPoset(_Record):
         return tuple(_fold_below(self, 1, lambda below: -sum(u * c for u, c in below)))
 
 
-def _lower_moves(base: int, blocks: tuple[int, ...], part: dict[int, int]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The one-move lower neighbours of ``(base, blocks)`` above a lower end
-    A, as mask keys, for ``part`` the :func:`_parts` of A: absorb a block i
-    of base(A) into the base, or merge blocks i < j of one part (all moves
-    for A = {1}).  The merged block keeps block i's least atom, so it stays
-    at position i."""
+def _lower_moves(blocks: tuple[int, ...], part: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    """The one-move lower neighbours of the member with these block masks
+    above a lower end A, as block tuples, for ``part`` the :func:`_parts` of
+    A: absorb a block i of base(A) into the base, or merge blocks i < j of
+    one part (all moves for A = {1}).  A member's base is the atoms outside
+    its blocks, so the blocks alone fix it.  The merged block keeps block
+    i's least atom, so it stays at position i."""
     parts = [part[b & -b] for b in blocks]
     for i, b in enumerate(blocks):
-        p = parts[i]
+        p, head = parts[i], blocks[:i]
         if p < 0:
-            yield base | b, blocks[:i] + blocks[i + 1 :]
+            yield head + blocks[i + 1 :]
         for j in range(i + 1, len(blocks)):
             if parts[j] == p:
-                yield base, blocks[:i] + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
+                yield head + (b | blocks[j],) + blocks[i + 1 : j] + blocks[j + 1 :]
 
 
 def _parts(A: tuple[int, tuple[int, ...]]) -> dict[int, int]:
@@ -177,7 +182,8 @@ def _key_index(members: tuple[ImpLattice, ...]) -> dict[tuple, int]:
 
 def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
     """Member indices by block count: a linear extension of the order."""
-    return sorted(range(len(members)), key=lambda i: members[i].w)
+    counts = [len(A.key[1]) for A in members]
+    return sorted(range(len(members)), key=counts.__getitem__)
 
 
 def _fill(lists: Sequence[Sequence[int]], order: Iterable[int]) -> tuple[int, ...]:
@@ -212,29 +218,32 @@ def interval(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
     interval costs its own size at any n.  The interval is convex and every
     cover is one move, so a chain of covers inside it leads from upper to
     each member.  The keys one move below a member, reached before or not,
-    are its covers; the poset keeps them as its cover lists.
+    are its covers; the poset keeps them as its cover lists.  The walk keys
+    its members by their block tuples, and builds a lattice only for each
+    member it keeps, with the atoms outside the blocks as its base.
     """
     if not is_sub(lower, upper):
         raise NotComparableError("interval endpoints must satisfy lower <= upper")
     n = upper.n
     part = _parts(lower.key)
-    kept = [upper.key]
-    seen = {upper.key: 0}  # walk position of each kept key
-    moves = []  # per kept key, the walk positions of the keys it covers
+    kept = [upper.key[1]]
+    seen = {kept[0]: 0}  # walk position of each kept member, by its blocks
+    moves = []  # per kept member, the walk positions of the members it covers
     for C in kept:  # grows as the walk keeps members
         moves.append(below := [])
-        for key in _lower_moves(*C, part):
+        for key in _lower_moves(C, part):
             p = seen.get(key)
             if p is None:
                 p = seen[key] = len(kept)
                 kept.append(key)
             below.append(p)
-    lattices = [_lattice(n, key) for key in kept]
+    full = _full_mask(n)
+    lattices = [_lattice(n, (full - sum(blocks), blocks)) for blocks in kept]  # blocks are disjoint
     order = sorted(range(len(kept)), key=lambda p: lattices[p].sort_key())
     rank = [0] * len(kept)
     for i, p in enumerate(order):
         rank[p] = i
-    P = IntervalPoset(tuple(lattices[p] for p in order), rank[seen[lower.key]], rank[0])
+    P = IntervalPoset(tuple(lattices[p] for p in order), rank[seen[lower.key[1]]], rank[0])
     vars(P)["_cover_lists"] = tuple(tuple([rank[q] for q in moves[p]]) for p in order)
     return P
 
@@ -536,13 +545,9 @@ def _json_items(items: list[str], pad: str, brackets: str = "[]") -> str:
 
 def _lattice_json(doc: dict, pad: str, atoms: Callable[[tuple[int, ...], str], str]) -> str:
     inner = pad + "  "
-    blocks = [atoms(tuple(block), inner + "  ") for block in doc["blocks"]]
-    fields = [
-        f'"n": {doc["n"]}',
-        f'"base": {atoms(tuple(doc["base"]), inner)}',
-        f'"blocks": {_json_items(blocks, inner)}',
-    ]
-    return _json_items(fields, pad, "{}")
+    blocks = _json_items([atoms(tuple(block), inner + "  ") for block in doc["blocks"]], inner)
+    base = atoms(tuple(doc["base"]), inner)
+    return f'{{\n{inner}"n": {doc["n"]},\n{inner}"base": {base},\n{inner}"blocks": {blocks}\n{pad}}}'
 
 
 def interval_to_json(poset: IntervalPoset) -> str:
@@ -550,11 +555,15 @@ def interval_to_json(poset: IntervalPoset) -> str:
     rendered by joins that know the interval schema (objects of ``n``,
     ``base`` and ``blocks``, lists of ints) instead of by the general
     encoder, which has no C path for ``indent``.  Each distinct atom list is
-    rendered once per indentation, by a memo that lives for one call."""
+    rendered once per indentation, by a memo that lives for one call, and
+    the cover edges by one join per lower member: they are sorted by it."""
     doc = interval_to_dict(poset)
     atoms = cache(lambda xs, pad: _json_items([str(a) for a in xs], pad))
     members = [_lattice_json(m, "    ", atoms) for m in doc["members"]]
-    edges = [f"[\n      {i},\n      {j}\n    ]" for i, j in doc["cover_edges"]]
+    edges = []
+    for i, group in groupby(doc["cover_edges"], itemgetter(0)):
+        head = f"[\n      {i},\n      "
+        edges.append(head + f"\n    ],\n    {head}".join([str(j) for _, j in group]) + "\n    ]")
     fields = [
         f'"lower": {_lattice_json(doc["lower"], "  ", atoms)}',
         f'"upper": {_lattice_json(doc["upper"], "  ", atoms)}',

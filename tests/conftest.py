@@ -55,8 +55,9 @@ def clear_caches():
     """Empty every process-wide memo: the argument-memoized functions (which
     hold the posets, and so their cached orders, Mobius values and covers, the
     per-n orders the slices are cut from, the per-n closure indices, the
-    interned lattices and the atom tuples) and the Stirling, chain-sum,
-    corrected-sum and composition row tables, trimmed back to row 0."""
+    interned lattices and the atom tuples) and the Stirling (both kinds),
+    chain-sum, corrected-sum and composition row tables, trimmed back to
+    row 0."""
     from implattice import algebra, formulas, poset
 
     for fn in (
@@ -70,6 +71,7 @@ def clear_caches():
     ):
         fn.cache_clear()
     del formulas._STIRLING_ROWS[1:]
+    del formulas._STIRLING1_ROWS[1:]
     del formulas._CHAIN_ROWS[1:]
     del formulas._CORRECTED_ROWS[1:]
     del formulas._COMPOSITION_ROWS[1:]

@@ -602,10 +602,10 @@ def listing_mismatches(capsys, monkeypatch, digests):
 
 
 def test_committed_digest_listing_holds(capsys, monkeypatch):
-    # scripts/output_digests.txt is the script's listing, and its 15 fast
+    # scripts/output_digests.txt is the script's listing, and its 17 fast
     # outputs recompute to their committed digests
     digests = load_output_digests()
-    assert sum(not is_slow(label) for label, _ in digests.listing(n8=True)) == 15
+    assert sum(not is_slow(label) for label, _ in digests.listing(n8=True)) == 17
     assert listing_mismatches(capsys, monkeypatch, digests) == []
 
 

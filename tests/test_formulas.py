@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from implattice.formulas import (
     mu_top_closed_form,
     partition_mobius,
     rank_one_chain_identity,
+    stirling1,
     stirling2,
 )
 from implattice.poset import mobius_between
@@ -108,6 +110,10 @@ def test_domain_errors():
         stirling2(-1, 0)
     with pytest.raises(ValueError):
         stirling2(3, -2)
+    with pytest.raises(ValueError):
+        stirling1(-1, 0)
+    with pytest.raises(ValueError):
+        stirling1(3, -2)
     with pytest.raises(ValueError):
         factorial(-1)
     with pytest.raises(ValueError):
@@ -308,6 +314,24 @@ def test_composition_matches_chain_up_to_100(cold_caches):
             assert mu_rank_sum_composition(k, n) == mu_rank_sum_chain(k, n)
 
 
+def test_stirling1_is_the_rank_sum_up_to_100(cold_caches):
+    # s(n, k) grows from its own recurrence, which shares no integer with
+    # the chain or composition rows: from cold tables it equals both sums at
+    # every row of table --n-max 100
+    for n in range(1, 101):
+        for k in range(1, n + 1):
+            assert stirling1(n, k) == mu_rank_sum_chain(k, n) == mu_rank_sum_composition(k, n)
+    assert [stirling1(4, k) for k in range(6)] == [0, -6, 11, -6, 1, 0]
+
+
+def test_stirling_kinds_are_mutually_inverse(cold_caches):
+    # sum_k s(n, k) S(k, j) is 1 at j = n and 0 below: the matrices of the
+    # two kinds are inverse to each other
+    for n in range(61):
+        for j in range(n + 1):
+            assert sum(stirling1(n, k) * stirling2(k, j) for k in range(j, n + 1)) == (n == j)
+
+
 def test_non_integral_composition_sum_is_refused():
     # the printed (k=2, n=3) value -6 divided by 4 instead of 2! is -3/2; the
     # message prints the reduced fraction with its sign on the numerator
@@ -370,15 +394,17 @@ def test_table_lock_is_reentrant():
 
 
 def test_tables_grow_consistently_across_threads(monkeypatch):
-    # several threads grow the cold corrected-sum, Stirling, chain-sum and
-    # composition tables at once, each corrected sum first, so that it grows
-    # the Stirling rows it reads under the lock it holds; a tiny switch
-    # interval makes unguarded growth interleave mid-row
+    # several threads grow the cold Stirling (both kinds), corrected-sum,
+    # chain-sum and composition tables at once, each corrected sum before
+    # the second-kind row it reads, so that it grows that row under the lock
+    # it holds; a tiny switch interval makes unguarded growth interleave
+    # mid-row
     ns = range(1, 41)
 
     def rows(order):
         return {
             n: (
+                [stirling1(n, k) for k in range(n + 1)],
                 chain_sum_corrected(n),
                 [stirling2(n, k) for k in range(n + 1)],
                 [mu_rank_sum_chain(k, n) for k in range(1, n + 1)],
@@ -392,6 +418,7 @@ def test_tables_grow_consistently_across_threads(monkeypatch):
         monkeypatch.setattr(formulas, "_CHAIN_ROWS", [[1]])
         monkeypatch.setattr(formulas, "_CORRECTED_ROWS", [1])
         monkeypatch.setattr(formulas, "_COMPOSITION_ROWS", [[1]])
+        monkeypatch.setattr(formulas, "_STIRLING1_ROWS", [[1]])
 
     cold()
     want = rows(ns)
@@ -422,6 +449,33 @@ def test_tables_grow_consistently_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert results == [want] * workers
+
+
+def test_row_tables_grow_only_under_the_lock(monkeypatch):
+    # while this thread holds the table lock, a thread that asks any cold
+    # table for a new row waits for it; unguarded growth would finish at once
+    monkeypatch.setattr(formulas, "_STIRLING_ROWS", [[1]])
+    monkeypatch.setattr(formulas, "_STIRLING1_ROWS", [[1]])
+    monkeypatch.setattr(formulas, "_CHAIN_ROWS", [[1]])
+    monkeypatch.setattr(formulas, "_CORRECTED_ROWS", [1])
+    monkeypatch.setattr(formulas, "_COMPOSITION_ROWS", [[1]])
+    asks = [
+        lambda: stirling2(9, 3),
+        lambda: stirling1(9, 3),
+        lambda: mu_rank_sum_chain(3, 9),
+        lambda: chain_sum_corrected(9),
+        lambda: mu_rank_sum_composition(3, 9),
+    ]
+    threads = [threading.Thread(target=ask) for ask in asks]
+    with formulas._TABLE_LOCK:
+        for t in threads:
+            t.start()
+        time.sleep(0.05)
+        waiting = [t.is_alive() for t in threads]
+    for t in threads:
+        t.join(timeout=60)
+    assert waiting == [True] * len(asks)
+    assert not any(t.is_alive() for t in threads)
 
 
 def test_erratum_report_matches_golden():

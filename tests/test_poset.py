@@ -294,7 +294,8 @@ def test_walk_makes_only_the_moves_it_keeps(cold_caches):
     # the walk makes, _lower_moves filtered by A's parts, all stay inside:
     # each move from a member lands on a member, the moves from all members
     # are the cover edges, one move each, and every key the walk keeps
-    # passes the containment test that the walk no longer makes
+    # passes the containment test that the walk no longer makes; a move
+    # gives the blocks, and the base is the atoms outside them
     for n in range(6):
         lattices = enumerate_all(n)
         for A in lattices:
@@ -306,7 +307,8 @@ def test_walk_makes_only_the_moves_it_keeps(cold_caches):
                 index = poset._key_index(P.members)
                 made = 0
                 for D in P.members:
-                    for key in poset._lower_moves(*D.key, part):
+                    for blocks in poset._lower_moves(D.key[1], part):
+                        key = ((1 << n) - 1 - sum(blocks), blocks)
                         assert key in index, (A, C, D, key)
                         made += 1
                 assert made == len(P.covers)
