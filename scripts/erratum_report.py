@@ -12,9 +12,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from implattice.algebra import enumerate_all, full_algebra
 from implattice.formulas import (
-    chain_sum_corrected,
-    chain_sum_printed,
-    factorial,
     mobius_product_formula,
     mobius_product_formula_printed,
     mu_rank_sum_composition,
@@ -22,18 +19,17 @@ from implattice.formulas import (
     mu_rank_sum_oracle,
 )
 from implattice.poset import mobius_between
+from implattice.verify import run_claims
 
 
 def main(n_max: int) -> None:
     print("== top-interval chain sums ==")
     print(f"{'n':>3} {'corrected':>16} {'(-1)^n n!':>16} {'printed':>16} {'(-1)^n (n-1)!':>16}")
-    for n in range(1, n_max + 1):
-        corrected = chain_sum_corrected(n)
-        printed = chain_sum_printed(n)
-        print(
-            f"{n:>3} {corrected:>16} {(-1) ** n * factorial(n):>16} "
-            f"{printed:>16} {(-1) ** n * factorial(n - 1):>16}"
-        )
+    # the sides of the two method2 claims, one pair of verdicts per n
+    corrected = run_claims(["method2.corrected_identity"], n_max)
+    printed = run_claims(["method2.printed_value_erratum"], n_max)
+    for c, p in zip(corrected, printed, strict=True):
+        print(f"{c.params['n']:>3} {c.lhs:>16} {c.rhs:>16} {p.lhs:>16} {p.rhs:>16}")
 
     print()
     print("== product-formula sign (printed exponent flips when |base| is odd) ==")

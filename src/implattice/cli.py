@@ -28,13 +28,9 @@ from .algebra import (
 from .formulas import (
     bell,
     chain_count,
-    chain_sum_corrected,
-    chain_sum_printed,
-    factorial,
     mu_rank_sum_chain,
     mu_rank_sum_composition,
     mu_rank_sum_oracle,
-    mu_top_closed_form,
     mobius_product_formula,
 )
 from .poset import (
@@ -46,7 +42,7 @@ from .poset import (
     interval_to_json,
     mobius_oracle,
 )
-from .verify import SUITES, run_suite, summarize
+from .verify import SUITES, run_claims, run_suite, summarize
 
 POSET_CAP = 8
 TABLE_CAP = 100
@@ -207,44 +203,23 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_identity(args: argparse.Namespace) -> tuple[str, int]:
     _sum_range_check(args.n_max, "n-max", args.override_cap)
-    rows = []
-    all_ok = True
-    for n in range(1, args.n_max + 1):
-        closed = mu_top_closed_form(n)
-        corrected = chain_sum_corrected(n)
-        printed = chain_sum_printed(n)
-        printed_expected = (-1) ** n * factorial(n - 1)
-        corrected_ok = corrected == closed
-        printed_ok = printed == printed_expected
-        all_ok = all_ok and corrected_ok and printed_ok
-        rows.append(
-            {
-                "n": n,
-                "closed_form": str(closed),
-                "corrected": str(corrected),
-                "printed": str(printed),
-                "printed_expected": str(printed_expected),
-                "corrected_ok": corrected_ok,
-                "printed_ok": printed_ok,
-            }
-        )
+    # one row per n, the two sides of each method2 claim: the corrected chain
+    # sum against (-1)^n n!, and the printed one against (-1)^n (n-1)!
+    corrected = run_claims(["method2.corrected_identity"], args.n_max)
+    printed = run_claims(["method2.printed_value_erratum"], args.n_max)
+    keys = ("n", "closed_form", "corrected", "printed", "printed_expected", "corrected_ok", "printed_ok")
+    rows = [  # one tuple of the fields in keys per n
+        (c.params["n"], c.rhs, c.lhs, p.lhs, p.rhs, c.passed, p.passed)
+        for c, p in zip(corrected, printed, strict=True)
+    ]
+    all_ok = all(c_ok and p_ok for *_, c_ok, p_ok in rows)
     if args.fmt == "json":
-        doc = {"command": "identity", "n_max": args.n_max, "rows": rows, "all_ok": all_ok}
-        text = json.dumps(doc, indent=2)
+        items = [dict(zip(keys, (n, *map(str, sums), c_ok, p_ok))) for n, *sums, c_ok, p_ok in rows]
+        text = json.dumps({"command": "identity", "n_max": args.n_max, "rows": items, "all_ok": all_ok}, indent=2)
     else:
         header = ["n", "closed_form", "corrected", "printed", "printed_expected", "ok"]
-        table_rows = [
-            [
-                str(r["n"]),
-                r["closed_form"],
-                r["corrected"],
-                r["printed"],
-                r["printed_expected"],
-                "yes" if r["corrected_ok"] and r["printed_ok"] else "NO",
-            ]
-            for r in rows
-        ]
-        text = "\n".join(_text_table(header, table_rows))
+        cells = [[str(n), *map(str, sums), "yes" if c_ok and p_ok else "NO"] for n, *sums, c_ok, p_ok in rows]
+        text = "\n".join(_text_table(header, cells))
     return text, 0 if all_ok else 1
 
 
@@ -338,14 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="bypass the safety caps on n",
         )
 
+    def add_interval(p):  # the options _resolve_interval reads
+        p.add_argument("--n", type=int, help="shorthand for the interval [{1}, B_n]")
+        p.add_argument("--lower", help="ImpLattice JSON")
+        p.add_argument("--upper", help="ImpLattice JSON (default: the full algebra)")
+
     p = sub.add_parser("enumerate", help="list every sublattice of B_n")
     p.add_argument("--n", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("mobius", help="mu(lower, upper) by oracle and closed form")
-    p.add_argument("--n", type=int, help="shorthand for the interval [{1}, B_n]")
-    p.add_argument("--lower", help="ImpLattice JSON")
-    p.add_argument("--upper", help="ImpLattice JSON (default: the full algebra)")
+    add_interval(p)
     add_common(p)
 
     p = sub.add_parser("verify", help="run a verification suite for all n <= n-max")
@@ -364,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("export", help="interval Hasse diagram as DOT or JSON")
-    p.add_argument("--n", type=int, help="shorthand for the interval [{1}, B_n]")
-    p.add_argument("--lower", help="ImpLattice JSON")
-    p.add_argument("--upper", help="ImpLattice JSON (default: the full algebra)")
+    add_interval(p)
     add_common(p, formats=("dot", "json"))
 
     return parser
@@ -377,10 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # the library builds no reference cycles: a pass could free only the parser
     try:
         args = build_parser().parse_args(argv)
-        text, code = _COMMANDS[args.command](args)
+        try:
+            text, code = _COMMANDS[args.command](args)
+        except OverflowError as exc:  # --override-cap lifts the caps, not the width of a shift
+            raise UsageError(f"n is too large: {exc}") from exc
         if not text.endswith("\n"):
             text += "\n"
-        if args.out:
+        if args.out is not None:  # --out '' is a path that cannot be opened
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)

@@ -135,17 +135,6 @@ def chain_count(k: int, n: int) -> int:
     return 1 if n == k else 2 ** (n - k - 1)
 
 
-_CHAIN_ROWS: list[list[int]] = [[1]]  # row k: T(k, k), T(k, k+1), ...
-
-
-def _rank_chain_value(k: int, n: int) -> int:
-    # T(k, k) = 1; T(k, m) = -sum_{j=k}^{m-1} S(m,j) T(k, j): the suffix-sum
-    # form of sum over chains n = n_0 > ... > n_p = k of (-1)^p prod S(n_{i-1}, n_i),
-    # each new entry one dot product of Stirling row m against row k
-    row = _table_row(_CHAIN_ROWS, k, lambda rows: [1])
-    return _table_row(row, n - k, lambda t: -sum(map(mul, _stirling_row(k + len(t))[k:], t)))
-
-
 _CORRECTED_ROWS: list[int] = [1]  # f(0), f(1), ...; f(0) meets only S(m, 0) = 0
 
 
@@ -164,7 +153,7 @@ def chain_sum_printed(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"chain sums need n >= 1, got {n}")
-    return -_rank_chain_value(1, n)
+    return -mu_rank_sum_chain(1, n)
 
 
 def chain_sum_corrected(n: int) -> int:
@@ -200,11 +189,18 @@ def mu_rank_sum_oracle(k: int, n: int) -> int:
     return total
 
 
+_CHAIN_ROWS: list[list[int]] = [[1]]  # row k: T(k, k), T(k, k+1), ...
+
+
 def mu_rank_sum_chain(k: int, n: int) -> int:
     """The same rank-restricted sum as a signed Stirling chain sum: the
     chains from n down to k weighted by (-1)^p times the Stirling product."""
     _check_rank_domain(k, n)
-    return _rank_chain_value(k, n)
+    # T(k, k) = 1; T(k, m) = -sum_{j=k}^{m-1} S(m,j) T(k, j): the suffix-sum
+    # form of sum over chains n = n_0 > ... > n_p = k of (-1)^p prod S(n_{i-1}, n_i),
+    # each new entry one dot product of Stirling row m against row k
+    row = _table_row(_CHAIN_ROWS, k, lambda rows: [1])
+    return _table_row(row, n - k, lambda t: -sum(map(mul, _stirling_row(k + len(t))[k:], t)))
 
 
 def _next_composition_row(rows: list[list[int]]) -> list[int]:

@@ -316,6 +316,39 @@ def test_identity_cap(capsys):
     assert json.loads(out)["all_ok"] is True
 
 
+@pytest.mark.parametrize(
+    "name, bad_n, cell, flag, claim",
+    [
+        ("mu_top_closed_form", 2, "closed_form", "corrected_ok", "method2.corrected_identity"),
+        ("chain_sum_printed", 3, "printed", "printed_ok", "method2.printed_value_erratum"),
+    ],
+    ids=["closed_form", "printed"],
+)
+def test_identity_reports_the_method2_verdicts(capsys, monkeypatch, name, bad_n, cell, flag, claim):
+    # identity prints the sides of the two method2 claims, so a formula off by
+    # one at bad_n shows in that row's cell and flag alone, where verify fails
+    right = getattr(formulas, name)
+    monkeypatch.setattr(formulas, name, lambda n: right(n) + (n == bad_n))
+    code, out = run_cli(capsys, "identity", "--n-max", "3", "--format", "json")
+    doc = json.loads(out)
+    assert (code, doc["all_ok"]) == (1, False)
+    for row in doc["rows"]:
+        faulty = row["n"] == bad_n
+        assert row[cell] == str(right(row["n"]) + faulty)
+        flags = {"corrected_ok": True, "printed_ok": True} | ({flag: False} if faulty else {})
+        assert {key: row[key] for key in flags} == flags
+    code, out = run_cli(capsys, "identity", "--n-max", "3")
+    header, *lines = [line.split() for line in out.splitlines()]
+    assert code == 1
+    assert [line[-1] for line in lines] == ["NO" if n == bad_n else "yes" for n in (1, 2, 3)]
+    assert lines[bad_n - 1][header.index(cell)] == str(right(bad_n) + 1)
+    code, out = run_cli(capsys, "verify", "--suite", "method2", "--n-max", "3")
+    assert code == 1
+    assert [line.split()[:3] for line in out.splitlines() if line.startswith("FAIL")] == [
+        ["FAIL", claim, f"n={bad_n}"]
+    ]
+
+
 def test_table_single_n(capsys):
     code, out = run_cli(capsys, "table", "--n", "4", "--format", "json")
     assert code == 0
@@ -413,6 +446,29 @@ def test_arithmetic_tables_need_n_at_least_one(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+HUGE = str(10**20)  # past 2**64: no shift reaches it, and it fails before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mobius", "--n", HUGE],
+        ["export", "--n", HUGE],
+        ["enumerate", "--n", HUGE],
+        ["mobius", "--lower", f'{{"n": {HUGE}, "base": [], "blocks": []}}'],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_n_past_any_shift_is_a_usage_error(capsys, argv):
+    # --override-cap lifts the caps, and an n that no shift can reach is still
+    # a usage error, not an OverflowError traceback with exit code 1
+    assert main([*argv, "--override-cap"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n is too large: ")
+    assert captured.err.count("\n") == 1
+
+
 # --- export --------------------------------------------------------------------
 
 
@@ -480,6 +536,15 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write --out {path}")
     assert "Traceback" not in captured.err
+
+
+def test_empty_out_is_usage_error(capsys):
+    # an empty --out is a path that cannot be opened, not a request for stdout
+    assert main(["enumerate", "--n", "2", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out :")
+    assert captured.err.count("\n") == 1
 
 
 def spawn(*argv, stdout=subprocess.PIPE):
