@@ -11,7 +11,7 @@ where they must pass, so that a kill comes from the mutant and not from the
 copy.  The script exits 1 if a snippet does not occur exactly once, if the
 unmutated copy fails, or if a mutant survives.
 
-    python scripts/mutants.py    # about 15 s on 2 cores
+    python scripts/mutants.py    # about 20 s on 2 cores
 
 A change that adds a guard appends the mutants its guard kills.
 """
@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 ALGEBRA, POSET, FORMULAS = (f"src/implattice/{m}.py" for m in ("algebra", "poset", "formulas"))
 VERIFY, CLI = "src/implattice/verify.py", "src/implattice/cli.py"
+PACKAGE = "src/implattice/__init__.py"
 
 MUTANTS = (
     Mutant(
@@ -167,6 +168,27 @@ MUTANTS = (
         "an n past any shift left to crash", CLI,
         "except OverflowError as exc:", "except ZeroDivisionError as exc:",
         ("tests/test_cli.py::test_n_past_any_shift_is_a_usage_error",),
+    ),
+    Mutant(
+        "cli importing the claim registry at module level", CLI,
+        "\nPOSET_CAP = 8\n", "\nfrom .verify import run_suite\n\nPOSET_CAP = 8\n",
+        ("tests/test_imports.py::test_only_the_claim_commands_load_the_registry",),
+    ),
+    Mutant(
+        "the lazy table sourcing SUITES from poset", PACKAGE,
+        '"product_decomposition",\n    ),\n    "verify": ("SUITES", ',
+        '"product_decomposition", "SUITES",\n    ),\n    "verify": (',
+        ("tests/test_imports.py::test_public_name_is_its_submodules_object",),
+    ),
+    Mutant(
+        "the package returning None for an unknown name", PACKAGE,
+        'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")', "return None",
+        ("tests/test_imports.py::test_unknown_name_is_an_attribute_error",),
+    ),
+    Mutant(
+        "the parser's suite names without pkb", CLI,
+        '"pkb", ', "",
+        ("tests/test_imports.py::test_suite_choices_are_the_registrys_suites",),
     ),
 )
 

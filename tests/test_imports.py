@@ -3,9 +3,12 @@ that module, each module imports only the layers before it, only
 ``algebra`` constructs ``ImpLattice`` objects, only ``verify`` constructs
 ``Verdict`` objects, the test helper that empties the memos knows every
 memo and every row table, and importing the CLI loads no heavy standard
-module that the interpreter does not load anyway.
+module that the interpreter does not load anyway.  The package loads each
+submodule when one of its names is first read, so ``import implattice``
+loads none, and only the commands that run claims load the claim registry.
 
-``__init__.py`` is skipped: it imports names to re-export them.
+``__init__.py`` is skipped: it names the other modules only to load them
+when their names are first read.
 """
 
 import ast
@@ -17,8 +20,10 @@ import sys
 
 import pytest
 
+import implattice
+from implattice import cli
 from implattice.formulas import stirling1
-from implattice.verify import run_suite
+from implattice.verify import SUITES, run_suite
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "implattice"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -203,19 +208,23 @@ def test_clear_caches_trims_every_row_table(cold_caches):
     assert {name: len(rows) for name, rows in tables.items()} == dict.fromkeys(tables, 1)
 
 
-def modules_loaded_by(statement: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after ``statement``, with the
-    library's ``src`` first on its path."""
+def run_fresh(source: str, *args: str) -> str:
+    """Standard output of ``source`` run with ``args`` in a fresh
+    interpreter, with the library's ``src`` first on its path."""
     path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", source, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     ).stdout
-    return set(out.split())
+
+
+def modules_loaded_by(statement: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``statement``."""
+    return set(run_fresh(f"{statement}\nimport sys\nprint(*sys.modules)").split())
 
 
 def test_cli_import_loads_no_heavy_modules():
@@ -225,3 +234,133 @@ def test_cli_import_loads_no_heavy_modules():
     cli = modules_loaded_by("import implattice.cli")
     assert "implattice.cli" in cli
     assert (cli - baseline) & {"dataclasses", "inspect", "ast"} == set()
+
+
+# every public name of the package, by the submodule that defines it; a
+# submodule is a public name of its own
+PUBLIC = {
+    "algebra": (
+        "algebra", "ContextMismatchError", "Element", "EmptyError", "ImpLattice",
+        "NotClosedError", "Verdict", "apply_atom_permutation", "complement",
+        "complement_closure", "elements", "enumerate_all", "from_elements", "full_algebra",
+        "implies", "is_boolean_subalgebra", "is_sub", "is_ultrafilter", "join",
+        "lattice_from_dict", "lattice_from_json", "lattice_to_dict", "lattice_to_json", "meet",
+        "principal_ultrafilter", "top_only", "up_closure",
+    ),
+    "formulas": (
+        "formulas", "NonIntegerResultError", "bell", "chain_count", "chain_sum_corrected",
+        "chain_sum_printed", "factorial", "mobius_product_formula",
+        "mobius_product_formula_printed", "mu_rank_sum_chain", "mu_rank_sum_composition",
+        "mu_rank_sum_composition_printed", "mu_rank_sum_oracle", "mu_top_closed_form",
+        "partition_mobius", "rank_one_chain_identity", "stirling1", "stirling2",
+    ),
+    "poset": (
+        "poset", "AtomNotBelowBaseError", "IntervalPoset", "NotClosedEndpointError",
+        "NotComparableError", "closed_suborder", "closure_theorem_check", "interval",
+        "interval_isomorphism_via_permutation", "interval_to_dict", "interval_to_dot",
+        "interval_to_json", "maximal_chain_length", "mobius_between", "mobius_oracle",
+        "product_decomposition",
+    ),
+    "verify": ("verify", "SUITES", "run_claims", "run_suite", "summarize"),
+}
+PUBLIC_NAMES = [name for names in PUBLIC.values() for name in names]
+
+
+def test_package_import_loads_no_submodule():
+    assert modules_loaded_by("import implattice") - modules_loaded_by("pass") == {"implattice"}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])
+def test_public_name_is_its_submodules_object(module, name):
+    source = importlib.import_module(f"implattice.{module}")
+    assert getattr(implattice, name) is (source if name == module else getattr(source, name))
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace = {}
+    exec("from implattice import *", namespace)
+    assert len(set(PUBLIC_NAMES)) == 66
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+    assert sorted(implattice.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(implattice))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'implattice' has no attribute 'no_such_name'$"):
+        implattice.no_such_name
+
+
+# eight threads read every public name of a fresh package at the same
+# moment; the probe prints whether each got, for each name, the object its
+# submodule holds
+THREADED_READS = """
+import sys, threading
+import implattice
+pairs = [arg.split(":") for arg in sys.argv[1:]]
+start = threading.Barrier(8)
+got = [None] * 8
+def read(i):
+    start.wait()
+    got[i] = [getattr(implattice, name) for _, name in pairs]
+threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+modules = [sys.modules[f"implattice.{module}"] for module, _ in pairs]
+own = [m if name == module else getattr(m, name) for m, (module, name) in zip(modules, pairs)]
+print(*(all(a is b for a, b in zip(objects, own, strict=True)) for objects in got))
+"""
+
+
+def test_threads_resolve_every_name_to_its_object():
+    # the library may be called from several threads, so two first reads of
+    # one name may race; each must get the one object the submodule holds
+    pairs = [f"{module}:{name}" for module, names in PUBLIC.items() for name in names]
+    assert run_fresh(THREADED_READS, *pairs).split() == ["True"] * 8
+
+
+# runs one CLI command as ``python -m implattice`` does, its output dropped,
+# and prints its exit code and then sys.modules
+COMMAND_PROBE = """
+import contextlib, io, runpy, sys
+sys.argv = ["implattice", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("implattice", run_name="__main__")
+    except SystemExit as exit:
+        code = exit.code
+print(code, *sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_claims",
+    [
+        ("enumerate --n 1", False),
+        ("mobius --n 2", False),
+        ("export --n 2", False),
+        ("table --n 2", False),
+        ("verify --n-max 1", True),
+        ("identity --n-max 1", True),
+    ],
+)
+def test_only_the_claim_commands_load_the_registry(argv, loads_claims):
+    code, *modules = run_fresh(COMMAND_PROBE, *argv.split()).split()
+    assert code == "0"
+    assert ("implattice.verify" in modules) == loads_claims
+
+
+def test_cli_import_loads_the_traced_modules():
+    # perfbench/inproc.py imports implattice.cli, and then the tracer's
+    # install() looks up the functions it wraps in sys.modules: the modules
+    # that define them must be loaded by that import, not on first use
+    loaded = modules_loaded_by("import implattice.cli")
+    assert {f"implattice.{m}" for m in ("algebra", "poset", "formulas", "cli")} <= loaded
+
+
+def test_suite_choices_are_the_registrys_suites():
+    # the parser names the suites without loading the claim registry
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == ("all",) + SUITES
