@@ -136,7 +136,7 @@ MUTANTS = (
     ),
     Mutant(
         "_by_rank by base rank", POSET,
-        "counts = [len(A.key[1]) for A in members]", "counts = [A.key[0].bit_count() for A in members]",
+        "layers[len(A.key[1])].append(i)", "layers[A.key[0].bit_count()].append(i)",
         ("tests/test_poset.py::test_whole_order_matches_is_sub_beyond_n4",),
     ),
     Mutant(
@@ -189,6 +189,27 @@ MUTANTS = (
         "the parser's suite names without pkb", CLI,
         '"pkb", ', "",
         ("tests/test_imports.py::test_suite_choices_are_the_registrys_suites",),
+    ),
+    Mutant(
+        "the layer fold reading the current block count's down-sets", POSET,
+        "mask |= prev[j]", "mask |= now.get(j, 0)",
+        (
+            "tests/test_poset.py::test_value_class_fold_matches_the_per_bit_fold",
+            "tests/test_poset.py::test_slice_equals_the_walk_every_interval",
+        ),
+    ),
+    Mutant(
+        "a layer's class bit set at the member index", POSET,
+        "out.append((i, p, mask))", "out.append((i, i, mask))",
+        (
+            "tests/test_poset.py::test_value_class_fold_matches_the_per_bit_fold",
+            "tests/test_poset.py::test_slice_equals_the_walk_every_interval",
+        ),
+    ),
+    Mutant(
+        "a walked interval folding over its order", POSET,
+        "counts)), self._downs())", "counts)), _by_down(self))",
+        ("tests/test_poset.py::test_exports_build_no_order",),
     ),
 )
 

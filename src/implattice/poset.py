@@ -31,14 +31,16 @@ its order and its covers are built once per n by :func:`_order`, the members
 of ``[A, C]`` are the bits of ``up[A] & down[C]``, and its order is L_n's
 restricted to them, by :func:`_restricted`, which cuts the closed
 suborders too.  The closure sweeps likewise close each member of L_n once
-per closure (:func:`_closed`) and read closures as L_n indices.
+per closure (:func:`_closed`) and read closures as L_n indices.  A walked
+poset folds its Mobius values by block-count layers and builds no order; a
+slice folds over its order, which the sweeps read anyway.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain, compress, groupby
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -91,13 +93,16 @@ class IntervalPoset(_Record):
     single queries; the sweeps take their intervals as slices of the per-n
     order (:func:`_slice`).  Derived on first use and cached on the poset, as
     plain tuples: the order ``down``, the Hasse edges ``covers`` and the
-    Mobius values.  The first two read the cover lists, the members one move
-    below each member, so every cover of the member set must be one merge of
-    two blocks or one absorb of a block into the base.  That holds for an
-    interval, which is convex, and for the closed suborders: Boolean
-    subalgebras step by merges, principal filters by absorbing a singleton
-    block.  The walk caches the lists it found on its poset, the sweeps'
-    posets (:func:`_restricted`) read them off L_n's; others redo its moves.
+    Mobius values.  A walked poset folds the values by block-count layers
+    and caches them beside its cover lists without building ``down``; a
+    slice or closed suborder folds over ``down`` and caches both.  All three
+    read the cover lists, the members one move below each member, so every
+    cover of the member set must be one merge of two blocks or one absorb of
+    a block into the base.  That holds for an interval, which is convex, and
+    for the closed suborders: Boolean subalgebras step by merges, principal
+    filters by absorbing a singleton block.  The walk caches the lists it
+    found on its poset, the sweeps' posets (:func:`_restricted`) read them
+    off L_n's; others redo its moves.
     """
 
     def __init__(self, members: tuple[ImpLattice, ...], lower_index: int, upper_index: int) -> None:
@@ -147,7 +152,26 @@ class IntervalPoset(_Record):
 
     @cached_property
     def _mobius(self) -> tuple[int, ...]:
-        return tuple(_fold_below(self, 1, lambda below: -sum(u * c for u, c in below)))
+        return tuple(
+            _fold_below(len(self.members), 1, lambda values, counts: -sum(map(mul, values, counts)), self._downs())
+        )
+
+    def _downs(self) -> Iterator[list[tuple[int, int, int]]]:
+        """The fold's layers, bits numbering members by block-count position:
+        i's down-set is its bit and those of the members it covers, which lie
+        in the layer before, so only that layer's down-sets are kept."""
+        covered, prev, p = self._cover_lists, {}, 0
+        for layer in _layers(self.members):
+            now, out = {}, []
+            for i in layer:
+                mask = 1 << p
+                for j in covered[i]:
+                    mask |= prev[j]
+                now[i] = mask
+                out.append((i, p, mask))
+                p += 1
+            yield out
+            prev = now
 
 
 def _lower_moves(blocks: tuple[int, ...], part: dict[int, int]) -> Iterator[tuple[int, ...]]:
@@ -180,10 +204,24 @@ def _key_index(members: tuple[ImpLattice, ...]) -> dict[tuple, int]:
     return {A.key: i for i, A in enumerate(members)}
 
 
+def _layers(members: tuple[ImpLattice, ...]) -> list[list[int]]:
+    """Member indices by block count, one ascending list per count, fewest
+    first: a member covers only members of the layer before its own."""
+    layers: list[list[int]] = [[] for _ in range(members[0].n + 1)]
+    for i, A in enumerate(members):
+        layers[len(A.key[1])].append(i)
+    return [layer for layer in layers if layer]
+
+
 def _by_rank(members: tuple[ImpLattice, ...]) -> list[int]:
-    """Member indices by block count: a linear extension of the order."""
-    counts = [len(A.key[1]) for A in members]
-    return sorted(range(len(members)), key=counts.__getitem__)
+    """The layers run together: a linear extension of the order."""
+    return list(chain.from_iterable(_layers(members)))
+
+
+def _by_down(poset: IntervalPoset) -> list[list[tuple[int, int, int]]]:
+    """The fold's layers as ``(i, i, down[i])``: read off the order."""
+    down = poset.down
+    return [[(i, i, down[i]) for i in layer] for layer in _layers(poset.members)]
 
 
 def _fill(lists: Sequence[Sequence[int]], order: Iterable[int]) -> tuple[int, ...]:
@@ -275,6 +313,8 @@ class _Restricted(IntervalPoset):
         local = {g: i for i, g in enumerate(at)}
         return [[local[g] for g in covered[k] if g in local] for k in at]
 
+    _downs = _by_down  # the sweeps read each slice's order anyway
+
 
 def _inside(lower: ImpLattice, upper: ImpLattice) -> list[int]:
     """The L_n indices of ``[lower, upper]``, ascending: the bits of
@@ -302,32 +342,35 @@ def _slice(lower: ImpLattice, upper: ImpLattice) -> IntervalPoset:
 
 
 def _fold_below(
-    poset: IntervalPoset, at_lower: int, combine: Callable[[list[tuple[int, int]]], int]
+    size: int, at_lower: int, combine: Callable[[dict, tuple], int], layers: Iterable[list[tuple]]
 ) -> list[int]:
-    """Fold a value up the interval: ``at_lower`` at the lower end, and at
-    every other member ``combine`` of the values of the members strictly
-    below it, grouped by value.
+    """Fold a value up an interval of ``size`` members: ``at_lower`` at the
+    lower end, and at every other member ``combine`` of the values of the
+    members strictly below it, grouped by value.
 
-    The members already folded are kept as one mask per distinct value, and
-    ``combine`` gets a ``(value, count)`` pair for each class that meets the
-    member's down-set.  Members go in block-count order, so every member
-    strictly below i is in a class when i is reached and i itself is in
-    none; the pairs are therefore exactly the multiset of values below i,
-    and a fold that only sums or maximises them is the same recursion
-    regrouped.  That costs one big-int AND per member and class, and the
-    classes are few: ``[{1}, B_8]`` has 9 distinct Mobius values, and chain
-    lengths take at most n + 1.
+    ``layers`` gives the members one block count at a time, fewest first
+    (the first is the lower end alone), as ``(i, bit, down)``: a down-set
+    and i's own bit in it.  The members already folded are kept as one mask
+    of their bits per distinct value, and ``combine`` gets those values, as
+    that dict's keys, and in the same order how many members of each class
+    lie in i's down-set.  Every member strictly below i is in an earlier
+    layer and i in none, so the counts are exactly the multiset of values
+    below i, and a fold that only sums or maximises them is the same
+    recursion regrouped.  That costs one big-int AND per member and class,
+    one comprehension per layer and class, and the classes are few:
+    ``[{1}, B_8]`` has 9 distinct Mobius values.
     """
-    value = [0] * len(poset.members)
+    value = [0] * size
     classes: dict[int, int] = {}
-    for i in _by_rank(poset.members):
-        if i == poset.lower_index:
-            v = at_lower
+    for layer in layers:
+        if classes:
+            columns = [[(down & mask).bit_count() for _, _, down in layer] for mask in classes.values()]
+            values = [combine(classes, counts) for counts in zip(*columns)]
         else:
-            down = poset.down[i]
-            v = combine([(u, c) for u, mask in classes.items() if (c := (down & mask).bit_count())])
-        value[i] = v
-        classes[v] = classes.get(v, 0) | 1 << i
+            values = [at_lower]
+        for (i, bit, _), v in zip(layer, values):
+            value[i] = v
+            classes[v] = classes.get(v, 0) | 1 << bit
     return value
 
 
@@ -517,7 +560,9 @@ def interval_isomorphism_via_permutation(A: ImpLattice, c1: int, c2: int) -> tup
 
 def maximal_chain_length(poset: IntervalPoset) -> int:
     """Edge count of the longest chain from lower to upper."""
-    length = _fold_below(poset, 0, lambda below: max((u for u, _ in below), default=-1) + 1)
+    length = _fold_below(
+        len(poset.members), 0, lambda values, counts: max(compress(values, counts), default=-1) + 1, _by_down(poset)
+    )
     return length[poset.upper_index]
 
 

@@ -630,8 +630,9 @@ def test_output_digest_commands_parse():
 
 
 # the listed outputs whose cold run takes 0.5 s or more: the n-max 6 and 7
-# verify runs, the n = 8 intervals and the two walks past the cap at n = 24
-SLOW_OUTPUTS = ("--n-max 6", "--n-max 7", "--n-max 8", "--n 8", '{"n":8', '{"n":24')
+# verify runs, the n = 8 intervals, the two walks past the cap at n = 24 and,
+# with --n8, the n-max 8 verify run and the n = 9 interval
+SLOW_OUTPUTS = ("--n-max 6", "--n-max 7", "--n-max 8", "--n 8", '{"n":8', '{"n":24', "--n 9")
 
 
 def is_slow(label):
@@ -684,7 +685,7 @@ def test_digest_listing_check_sees_an_altered_line_and_a_dropped_command(capsys,
     lines = []
     for label, argv in digests.listing(n8=False):
         lines.append(f"{hashlib.sha256(in_process_stdout(capsys, monkeypatch, argv)).hexdigest()}  {label}")
-    lines += digests.committed(n8=True)[-1:]
+    lines += digests.committed(n8=True)[-len(digests.N8_COMMANDS) :]
     monkeypatch.setattr(digests, "LISTING", tmp_path / "listing.txt")
     digests.LISTING.write_text("\n".join(lines) + "\n")
     assert listing_mismatches(capsys, monkeypatch, digests) == []

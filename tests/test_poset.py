@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import weakref
+from itertools import compress
 
 import pytest
 
@@ -48,6 +49,7 @@ from implattice.poset import (
     mobius_between,
     mobius_oracle,
     product_decomposition,
+    _by_down,
     _closed,
     _closure_row,
     _containment,
@@ -212,10 +214,12 @@ def test_whole_order_matches_is_sub_beyond_n4(n):
 
 def test_exports_build_no_order(cold_caches):
     # a poset stores its members and ends; the order is derived on first use,
-    # and the JSON and DOT exports read the members and Hasse edges only.  It
-    # caches exactly the three derived tuples and the cover lists the walk
-    # handed over.  A product decomposition takes its second factor as the
-    # per-n order itself, which caches no more than that either
+    # and the JSON and DOT exports read the members and Hasse edges only.  A
+    # walked interval folds its Mobius values by block-count layers, so it
+    # then caches exactly the Hasse edges, the Mobius values and the cover
+    # lists the walk handed over, and no order.  A product decomposition
+    # takes its second factor as the per-n order itself, whose order the
+    # slices read, and which caches no more than that
     fields = list(inspect.signature(poset.IntervalPoset).parameters)
     assert fields == ["members", "lower_index", "upper_index"]
     assert list(vars(poset.IntervalPoset((), 0, 0))) == fields
@@ -224,16 +228,18 @@ def test_exports_build_no_order(cold_caches):
     interval_to_dot(P)
     assert "covers" in vars(P) and "down" not in vars(P)
     assert mu_top(P) == 24
-    assert "down" in vars(P)
-    cached = {"members", "lower_index", "upper_index", "_cover_lists", "covers", "down", "_mobius"}
+    assert "down" not in vars(P)
+    cached = {"members", "lower_index", "upper_index", "_cover_lists", "covers", "_mobius"}
     assert set(vars(P)) == cached
     assert product_decomposition(top_only(4))[1] is poset._order(4)[0]
-    assert set(vars(poset._order(4)[0])) <= cached
+    assert set(vars(poset._order(4)[0])) <= cached | {"down"}
 
 
 def test_slice_equals_the_walk_every_interval(cold_caches):
     # a slice of the per-n order is the interval the walk builds, field by
-    # field, with the same order and Hasse edges, for every comparable pair
+    # field, with the same order, Hasse edges and Mobius values, for every
+    # comparable pair: the walk folds by block-count layers, the slice over
+    # its order
     for n in range(5):
         lattices = enumerate_all(n)
         for lower in lattices:
@@ -250,6 +256,10 @@ def test_slice_equals_the_walk_every_interval(cold_caches):
                 )
                 assert S.down == P.down
                 assert S.covers == P.covers
+                assert mobius_oracle(S) == mobius_oracle(P)
+    for n in (5, 6, 7):
+        S, P = poset._slice(top_only(n), full_algebra(n)), interval(top_only(n), full_algebra(n))
+        assert S.members == P.members and mobius_oracle(S) == mobius_oracle(P)
 
 
 def test_walk_hands_over_the_covers_it_found(cold_caches):
@@ -514,7 +524,8 @@ def assert_fold_matches_reference(P):
     mu = fold_below_reference(P, 1, lambda below: -sum(below))
     assert mobius_oracle(P) == tuple(mu)
     chain = fold_below_reference(P, 0, lambda below: max(below, default=-1) + 1)
-    assert _fold_below(P, 0, lambda below: max((u for u, _ in below), default=-1) + 1) == chain
+    longest = lambda values, counts: max(compress(values, counts), default=-1) + 1
+    assert _fold_below(len(P.members), 0, longest, _by_down(P)) == chain
     assert maximal_chain_length(P) == chain[P.upper_index]
 
 
