@@ -11,7 +11,7 @@ where they must pass, so that a kill comes from the mutant and not from the
 copy.  The script exits 1 if a snippet does not occur exactly once, if the
 unmutated copy fails, or if a mutant survives.
 
-    python scripts/mutants.py    # about 20 s on 2 cores
+    python scripts/mutants.py    # about 50-60 s on 2 cores
 
 A change that adds a guard appends the mutants its guard kills.
 """
@@ -135,7 +135,7 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_by_rank by base rank", POSET,
+        "_layers by base rank", POSET,
         "layers[len(A.key[1])].append(i)", "layers[A.key[0].bit_count()].append(i)",
         ("tests/test_poset.py::test_whole_order_matches_is_sub_beyond_n4",),
     ),
@@ -207,9 +207,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a walked interval folding over its order", POSET,
-        "counts)), self._downs())", "counts)), _by_down(self))",
+        "every poset folding over its order", POSET,
+        "    for layer in poset._downs():", "    for layer in _Restricted._downs(poset):",
         ("tests/test_poset.py::test_exports_build_no_order",),
+    ),
+    Mutant(
+        "the chain length building the order first", POSET,
+        "default=-1) + 1)\n", "default=-1) + 1) if poset.down else []\n",
+        ("tests/test_poset.py::test_exports_build_no_order",),
+    ),
+    Mutant(
+        "up-sets filled over the layers bottom first", POSET,
+        "reversed(_layers(L.members))", "_layers(L.members)",
+        ("tests/test_poset.py::test_per_n_order_is_is_sub_both_ways",),
     ),
 )
 

@@ -49,7 +49,6 @@ from implattice.poset import (
     mobius_between,
     mobius_oracle,
     product_decomposition,
-    _by_down,
     _closed,
     _closure_row,
     _containment,
@@ -215,11 +214,11 @@ def test_whole_order_matches_is_sub_beyond_n4(n):
 def test_exports_build_no_order(cold_caches):
     # a poset stores its members and ends; the order is derived on first use,
     # and the JSON and DOT exports read the members and Hasse edges only.  A
-    # walked interval folds its Mobius values by block-count layers, so it
-    # then caches exactly the Hasse edges, the Mobius values and the cover
-    # lists the walk handed over, and no order.  A product decomposition
-    # takes its second factor as the per-n order itself, whose order the
-    # slices read, and which caches no more than that
+    # walked interval folds its Mobius values and its chain length by
+    # block-count layers, so it then caches exactly the Hasse edges, the
+    # Mobius values and the cover lists the walk handed over, and no order.
+    # A product decomposition takes its second factor as the per-n order
+    # itself, whose order the slices read, and which caches no more than that
     fields = list(inspect.signature(poset.IntervalPoset).parameters)
     assert fields == ["members", "lower_index", "upper_index"]
     assert list(vars(poset.IntervalPoset((), 0, 0))) == fields
@@ -230,6 +229,8 @@ def test_exports_build_no_order(cold_caches):
     assert mu_top(P) == 24
     assert "down" not in vars(P)
     cached = {"members", "lower_index", "upper_index", "_cover_lists", "covers", "_mobius"}
+    assert set(vars(P)) == cached
+    assert maximal_chain_length(P) == 4
     assert set(vars(P)) == cached
     assert product_decomposition(top_only(4))[1] is poset._order(4)[0]
     assert set(vars(poset._order(4)[0])) <= cached | {"down"}
@@ -525,7 +526,7 @@ def assert_fold_matches_reference(P):
     assert mobius_oracle(P) == tuple(mu)
     chain = fold_below_reference(P, 0, lambda below: max(below, default=-1) + 1)
     longest = lambda values, counts: max(compress(values, counts), default=-1) + 1
-    assert _fold_below(len(P.members), 0, longest, _by_down(P)) == chain
+    assert _fold_below(P, 0, longest) == chain
     assert maximal_chain_length(P) == chain[P.upper_index]
 
 
