@@ -166,7 +166,7 @@ MUTANTS = (
     ),
     Mutant(
         "an n past any shift left to crash", CLI,
-        "except OverflowError as exc:", "except ZeroDivisionError as exc:",
+        "except (OverflowError,", "except (ZeroDivisionError,",
         ("tests/test_cli.py::test_n_past_any_shift_is_a_usage_error",),
     ),
     Mutant(
@@ -220,6 +220,27 @@ MUTANTS = (
         "up-sets filled over the layers bottom first", POSET,
         "reversed(_layers(L.members))", "_layers(L.members)",
         ("tests/test_poset.py::test_per_n_order_is_is_sub_both_ways",),
+    ),
+    Mutant(
+        "export wired to cmd_mobius", CLI,
+        "add_common(p, cmd_export,", "add_common(p, cmd_mobius,",
+        (
+            "tests/test_cli.py::test_every_subcommand_runs_its_own_handler[export]",
+            "tests/test_cli.py::test_export_bytes_are_pinned",
+        ),
+    ),
+    Mutant(
+        "MemoryError left to a traceback", CLI,
+        "MemoryError) as exc:", "ZeroDivisionError) as exc:",
+        ("tests/test_cli.py::test_running_out_of_memory_is_a_usage_error",),
+    ),
+    Mutant(
+        "is_sub without its base test", ALGEBRA,
+        "    if base2 & ~base1:\n        return False\n", "",
+        (
+            "tests/test_algebra.py::test_is_sub_examples",
+            "tests/test_algebra.py::test_is_sub_matches_element_inclusion",
+        ),
     ),
 )
 

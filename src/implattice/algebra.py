@@ -276,22 +276,6 @@ def from_elements(S: Iterable[Element], n: int) -> ImpLattice:
     return A
 
 
-def _sub_masks(base1: int, blocks1: tuple[int, ...], base2: int, blocks2: tuple[int, ...]) -> bool:
-    """Containment on mask keys: ``base1`` is an element of the second
-    sublattice and every block of the first is a union of its blocks."""
-    if base2 & ~base1:
-        return False
-    rem = base1 & ~base2
-    for m2 in blocks2:
-        if m2 & rem and m2 & ~rem:
-            return False
-    for m1 in blocks1:
-        for m2 in blocks2:
-            if m2 & m1 and m2 & ~m1:
-                return False
-    return True
-
-
 @cache
 def _lattice(n: int, key: tuple[int, tuple[int, ...]]) -> ImpLattice:
     """``ImpLattice(n, key)``, built once per key: the intern table every
@@ -340,7 +324,18 @@ def is_sub(A1: ImpLattice, A2: ImpLattice) -> bool:
     """
     if A1.n != A2.n:
         raise ContextMismatchError(f"mixed contexts n={A1.n} and n={A2.n}")
-    return _sub_masks(*A1.key, *A2.key)
+    (base1, blocks1), (base2, blocks2) = A1.key, A2.key
+    if base2 & ~base1:
+        return False
+    rem = base1 & ~base2
+    for m2 in blocks2:
+        if m2 & rem and m2 & ~rem:
+            return False
+    for m1 in blocks1:
+        for m2 in blocks2:
+            if m2 & m1 and m2 & ~m1:
+                return False
+    return True
 
 
 def _submasks(mask: int) -> Iterator[int]:

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: enumerate, mobius, verify, identity, table, export.  All output
-is deterministic; JSON is the machine format and text tables are fixed-width
-right-aligned integers.  Exit codes: 0 = all checks pass, 1 = a mathematical
-check failed, 2 = usage or configuration error.
+Subcommands: enumerate, mobius, verify, identity, table, export, each parser
+setting its own handler as ``args.run``.  All output is deterministic; JSON is
+the machine format and text tables are fixed-width right-aligned integers.
+Exit codes: 0 = all checks pass, 1 = a mathematical check failed, 2 = usage
+or configuration error, or an ``n`` too large for a shift or for the memory.
 """
 
 from __future__ import annotations
@@ -289,16 +290,6 @@ def cmd_export(args: argparse.Namespace) -> tuple[str, int]:
     return text, 0
 
 
-_COMMANDS = {
-    "enumerate": cmd_enumerate,
-    "mobius": cmd_mobius,
-    "verify": cmd_verify,
-    "identity": cmd_identity,
-    "table": cmd_table,
-    "export": cmd_export,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="implattice",
@@ -309,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json")):
+    def add_common(p, run, formats=("text", "json")):
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=formats, default=formats[0], dest="fmt")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument(
@@ -325,30 +317,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every sublattice of B_n")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, cmd_enumerate)
 
     p = sub.add_parser("mobius", help="mu(lower, upper) by oracle and closed form")
     add_interval(p)
-    add_common(p)
+    add_common(p, cmd_mobius)
 
     p = sub.add_parser("verify", help="run a verification suite for all n <= n-max")
     p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    add_common(p)
+    add_common(p, cmd_verify)
 
     p = sub.add_parser("identity", help="top-interval identity table over n")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    add_common(p)
+    add_common(p, cmd_identity)
 
     p = sub.add_parser("table", help="rank-restricted Mobius sum table over (k, n)")
     p.add_argument("--n", type=int, help="single-n table")
     p.add_argument("--n-max", type=int, dest="n_max", help="all n up to this bound")
     p.add_argument("--k", type=int, help="restrict to one k")
-    add_common(p)
+    add_common(p, cmd_table)
 
     p = sub.add_parser("export", help="interval Hasse diagram as DOT or JSON")
     add_interval(p)
-    add_common(p, formats=("dot", "json"))
+    add_common(p, cmd_export, formats=("dot", "json"))
 
     return parser
 
@@ -359,9 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         try:
-            text, code = _COMMANDS[args.command](args)
-        except OverflowError as exc:  # --override-cap lifts the caps, not the width of a shift
-            raise UsageError(f"n is too large: {exc}") from exc
+            text, code = args.run(args)
+        except (OverflowError, MemoryError) as exc:  # --override-cap lifts the caps, not the machine's limits
+            raise UsageError(f"n is too large: {str(exc) or 'out of memory'}") from exc
         if not text.endswith("\n"):
             text += "\n"
         if args.out is not None:  # --out '' is a path that cannot be opened

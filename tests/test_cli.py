@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -469,6 +470,20 @@ def test_n_past_any_shift_is_a_usage_error(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_running_out_of_memory_is_a_usage_error(capsys, monkeypatch):
+    # past the caps a command can run out of memory before any shift fails;
+    # that is exit 2 with one error line, not 1 with a MemoryError traceback.
+    # The handler raises it here, so the test allocates nothing
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_mobius", exhausted)
+    assert main(["mobius", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n is too large: out of memory\n"
+
+
 # --- export --------------------------------------------------------------------
 
 
@@ -617,6 +632,20 @@ def load_output_digests():
     return digests
 
 
+def _subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(_subparsers()))
+def test_every_subcommand_runs_its_own_handler(name):
+    # each subparser sets its handler itself: its minimal arguments, every
+    # required option given 1, select cmd_<name>
+    required = [a.option_strings[0] for a in _subparsers()[name]._actions if a.required]
+    args = cli.build_parser().parse_args([name, *(x for opt in required for x in (opt, "1"))])
+    assert args.run is getattr(cli, f"cmd_{name}")
+
+
 def test_output_digest_commands_parse():
     # scripts/output_digests.py runs these in subprocesses; a command the
     # parser rejects would only show there as a usage error
@@ -704,13 +733,13 @@ def test_main_restores_the_callers_collector(capsys, monkeypatch, enabled):
     # a run turns cyclic GC off, and gives the caller back the setting it
     # found, also after a usage error: one the command raises, or argparse's
     seen = []
-    command = cli._COMMANDS["enumerate"]
+    command = cli.cmd_enumerate
 
     def recording(args):
         seen.append(gc.isenabled())
         return command(args)
 
-    monkeypatch.setitem(cli._COMMANDS, "enumerate", recording)
+    monkeypatch.setattr(cli, "cmd_enumerate", recording)
     (gc.enable if enabled else gc.disable)()
     try:
         assert main(["enumerate", "--n", "1"]) == 0
