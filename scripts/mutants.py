@@ -11,7 +11,7 @@ where they must pass, so that a kill comes from the mutant and not from the
 copy.  The script exits 1 if a snippet does not occur exactly once, if the
 unmutated copy fails, or if a mutant survives.
 
-    python scripts/mutants.py    # about 50-60 s on 2 cores
+    python scripts/mutants.py    # about 70 s on 2 cores
 
 A change that adds a guard appends the mutants its guard kills.
 """
@@ -241,6 +241,42 @@ MUTANTS = (
             "tests/test_algebra.py::test_is_sub_examples",
             "tests/test_algebra.py::test_is_sub_matches_element_inclusion",
         ),
+    ),
+    Mutant(
+        "forked verdicts merged in completion order", VERIFY,
+        "    return sorted(verdicts, key=lambda v: rank[v.claim])\n", "    return verdicts\n",
+        ("tests/test_verify.py::test_forked_stdout_is_the_serial_stdout",),
+    ),
+    Mutant(
+        "a claim given to no worker", VERIFY,
+        "        for cost, unit in costed:\n", "        for cost, unit in costed[:-1]:\n",
+        ("tests/test_verify.py::test_forked_stdout_is_the_serial_stdout",),
+    ),
+    Mutant(
+        "one worker's verdicts dropped", VERIFY,
+        "            verdicts += _result(data, status)\n", "            _result(data, status)\n",
+        ("tests/test_verify.py::test_forked_stdout_is_the_serial_stdout",),
+    ),
+    Mutant(
+        "forking under a trace or profile hook", VERIFY,
+        "    hooked = sys.gettrace() or sys.getprofile()\n", "    hooked = False\n",
+        ("tests/test_verify.py::test_a_trace_or_profile_hook_keeps_verify_in_one_process",),
+    ),
+    Mutant(
+        "forking beside another thread", VERIFY,
+        " or threading.active_count() > 1:", ":",
+        ("tests/test_verify.py::test_another_thread_keeps_verify_in_one_process",),
+    ),
+    Mutant(
+        "a failed fork leaking its pipe", VERIFY,
+        "                os.close(read)\n                os.close(write)\n", "",
+        ("tests/test_verify.py::test_a_failed_fork_exits_2",),
+    ),
+    Mutant(
+        "a worker left unreaped when the caller fails", VERIFY,
+        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+        "            os.kill(pid, signal.SIGKILL)\n",
+        ("tests/test_verify.py::test_a_failing_run_exits_2_and_leaves_no_worker",),
     ),
 )
 

@@ -16,7 +16,8 @@ Each output comes from a fresh subprocess running the checkout's own
 interval of 10 240 members at n = 24, past the cap, whose walk must reach
 members only.  With ``--n8`` the listing ends with two more lines, the
 digests of ``verify --suite all --n-max 8 --format json``, which takes about
-90 s and 700 MiB on a 2-core machine, and of ``mobius --n 9 --override-cap
+60 s on 2 CPUs, its two processes peaking at about 0.8 GiB together (about
+110 s and 670 MiB in one process), and of ``mobius --n 9 --override-cap
 --format json``, past the cap, which takes about 4 s and 750 MiB.  Both are
 left out by default; the committed file ends with those lines, which
 ``--check`` compares only with ``--n8``.

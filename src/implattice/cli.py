@@ -4,7 +4,8 @@ Subcommands: enumerate, mobius, verify, identity, table, export, each parser
 setting its own handler as ``args.run``.  All output is deterministic; JSON is
 the machine format and text tables are fixed-width right-aligned integers.
 Exit codes: 0 = all checks pass, 1 = a mathematical check failed, 2 = usage
-or configuration error, or an ``n`` too large for a shift or for the memory.
+or configuration error, an ``n`` too large for a shift or for the memory, or
+a ``verify`` worker that could not be forked or ended without a result.
 """
 
 from __future__ import annotations
@@ -176,10 +177,13 @@ def cmd_mobius(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
-    from .verify import run_suite, summarize
+    from .verify import WorkerError, run_suite_parallel, summarize
 
     _cap_check(args.n_max, POSET_CAP, "n-max", args.override_cap)
-    verdicts = run_suite(args.suite, args.n_max)
+    try:
+        verdicts = run_suite_parallel(args.suite, args.n_max)
+    except WorkerError as exc:
+        raise UsageError(str(exc)) from exc
     summary = summarize(verdicts)
     if args.fmt == "json":
         doc = {

@@ -10,16 +10,22 @@ built: the library checks in ``poset`` and ``formulas`` return their plain
 returns as it is.
 
 Claims are grouped into named suites for the CLI; they are independent of
-each other and deterministic, so any subset can run in any order (the runner
-keeps registry order for stable output).
+each other and deterministic, so any subset can run in any order, in one
+process or split between forked workers (the runners keep registry order for
+stable output).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
+import threading
 from functools import partial
 from itertools import combinations
 from operator import eq
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, NoReturn
 
 from . import algebra, formulas
 from .algebra import (
@@ -376,6 +382,40 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 
+# Each claim's milliseconds in a serial ``verify --n-max N`` run, in registry
+# order, for N = 5, 6, 7 and 8 (the median of 5, 3 and 3 runs, and the mean of
+# 2 at 8; 2-vCPU Xeon, Python 3.11.7).  :func:`_split` reads the column of the
+# run's n-max, clamped to 5..8, since the shares change with n: the atom swap
+# takes 15 % of the run at 5 and 38 % at 8.
+_COST_MS: dict[str, tuple[int, int, int, int]] = {
+    "closure.complement.subalgebra": (12, 80, 676, 5134),
+    "closure.complement.fixed_points": (1, 3, 16, 130),
+    "closure.complement.axioms": (6, 34, 289, 5977),
+    "closure.complement.saturation": (1, 3, 12, 94),
+    "closure.up.axioms": (5, 31, 260, 3422),
+    "closure.up.saturation": (1, 3, 12, 60),
+    "closure.theorem.complement": (26, 221, 1653, 17702),
+    "closure.theorem.up": (8, 40, 311, 5206),
+    "method1.formula_vs_oracle": (1, 4, 13, 70),
+    "method1.printed_sign_erratum": (1, 3, 14, 74),
+    "method2.corrected_identity": (0, 0, 0, 0),
+    "method2.corrected_vs_oracle": (0, 0, 0, 0),
+    "method2.printed_value_erratum": (0, 0, 0, 0),
+    "product.pairing_bijection": (21, 134, 1278, 13670),
+    "product.mu_multiplicative": (3, 13, 79, 477),
+    "pkb.chain_vs_oracle": (1, 4, 21, 116),
+    "pkb.chain_vs_composition": (0, 0, 0, 0),
+    "pkb.partition_sum_agreement": (2, 7, 38, 208),
+    "pkb.rank_one_closed_form": (0, 0, 0, 0),
+    "pkb.printed_composition_erratum": (1, 4, 19, 111),
+    "core.enumeration_count": (0, 0, 0, 0),
+    "core.closed_set_roundtrip": (6, 6, 6, 6),
+    "oracle.recursion_identity": (1, 6, 103, 2766),
+    "iso.atom_transposition": (22, 186, 2608, 44562),
+    "iso.equal_rank_subalgebras": (20, 107, 982, 16581),
+}
+
+
 def run_claims(ids, n_max: int) -> list[Verdict]:
     """Run the named claims for every applicable n <= n_max."""
     wanted = set(ids)
@@ -392,12 +432,153 @@ def run_claims(ids, n_max: int) -> list[Verdict]:
     return out
 
 
-def run_suite(suite: str, n_max: int) -> list[Verdict]:
-    """Run a named suite (or "all") for every applicable n <= n_max."""
+def _suite(suite: str) -> list[Claim]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {('all',) + SUITES}")
-    ids = [c.id for c in CLAIMS if suite == "all" or c.suite == suite]
-    return run_claims(ids, n_max)
+    return [c for c in CLAIMS if suite == "all" or c.suite == suite]
+
+
+def run_suite(suite: str, n_max: int) -> list[Verdict]:
+    """Run a named suite (or "all") for every applicable n <= n_max."""
+    return run_claims([c.id for c in _suite(suite)], n_max)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# The claims that read the Mobius values of the slices [A, B_n] for every A:
+# one worker runs them all, since each worker would build those values again
+# (8.3 s and about 370 MiB at n = 8, in process).
+_TOP_SLICE_CLAIMS = frozenset({
+    "closure.theorem.complement", "closure.theorem.up", "method1.formula_vs_oracle",
+    "method1.printed_sign_erratum", "product.pairing_bijection", "product.mu_multiplicative",
+    "pkb.chain_vs_oracle", "pkb.partition_sum_agreement", "pkb.printed_composition_erratum",
+})
+
+
+def _split(claims: list[Claim], n_max: int, cpus: int) -> list[list[str]]:
+    """The claim ids in at most ``cpus`` groups, by a greedy split of their
+    ``_COST_MS`` at n-max: the claims in ``_TOP_SLICE_CLAIMS`` as one unit
+    and every other claim as its own, the costliest unit first, each to the
+    group with the least cost so far.  A group is added only while it
+    shortens the costliest group, so a suite of one dominant unit, or of
+    claims that cost nothing, stays in one group."""
+    col = min(max(n_max, 5), 8) - 5
+    units = [[c.id for c in claims if c.id in _TOP_SLICE_CLAIMS]]
+    units += [[c.id] for c in claims if c.id not in _TOP_SLICE_CLAIMS]
+    costed = sorted(((sum(_COST_MS[i][col] for i in unit), unit) for unit in units), reverse=True)
+    best, longest = [[c.id for c in claims]], sum(cost for cost, _ in costed)
+    for w in range(2, cpus + 1):
+        groups: list[list[str]] = [[] for _ in range(w)]
+        loads = [0] * w
+        for cost, unit in costed:
+            i = loads.index(min(loads))
+            groups[i] += unit
+            loads[i] += cost
+        if max(loads) >= longest:
+            break
+        best, longest = groups, max(loads)
+    return best
+
+
+class WorkerError(Exception):
+    """A worker of :func:`run_suite_parallel` could not be forked or ended
+    without a result."""
+
+
+def _work(ids: list[str], n_max: int, read: int, write: int) -> NoReturn:
+    """A forked worker's whole life: run its claims, pickle the verdicts (or
+    the exception) into its pipe, and leave by ``os._exit``, so that it never
+    returns into the caller's stack, flushes no inherited buffer and runs no
+    exit handler."""
+    code = 1
+    try:
+        os.close(read)
+        try:
+            result: list[Verdict] | BaseException = run_claims(ids, n_max)
+        except BaseException as exc:  # re-raised by the parent
+            result = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _result(data: bytes, status: int) -> list[Verdict]:
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerError(f"a verify worker ended without a result ({how})")
+    result = pickle.loads(data)  # written by this program's own worker
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def run_suite_parallel(suite: str, n_max: int) -> list[Verdict]:
+    """:func:`run_suite` on every usable CPU, with the same verdicts in the
+    same order.
+
+    The suite is split into W groups by the claims' costs (:func:`_split`,
+    W at most the usable CPU count).  The caller runs the first group itself
+    and forks a worker for each other group, which inherits the imported
+    modules, the caches and any patched function; the verdicts are merged in
+    registry order.  It runs in one process when W is 1, when ``os.fork`` is
+    missing, when a trace or profile hook is set, since a debugger, a
+    profiler, a coverage tool or a test's hook sees no worker's calls, and
+    when another thread runs, since a fork copies only the calling thread
+    and a lock another thread holds (a row table's, say) would stay held in
+    the worker.
+
+    Worker rules:
+
+    - stdout and stderr are flushed before forking, so no buffered text is
+      written twice;
+    - a worker writes only its pipe, never stdout, and ends with ``os._exit``;
+    - a worker's exception is re-raised here, so a ``MemoryError`` or an
+      ``OverflowError`` means the same as in a serial run;
+    - a worker that ends without a result, or cannot be forked, raises
+      :class:`WorkerError`, and no verdict is returned;
+    - every worker is reaped on every path: on an exception here, the
+      workers still running are killed first.
+    """
+    claims = _suite(suite)
+    groups = _split(claims, n_max, _usable_cpus())
+    hooked = sys.gettrace() or sys.getprofile()
+    if len(groups) == 1 or not hasattr(os, "fork") or hooked or threading.active_count() > 1:
+        return run_claims([c.id for c in claims], n_max)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pipes = {}  # worker pid -> read end of its pipe, until the worker is reaped
+    try:
+        for ids in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # out of memory or of processes
+                os.close(read)
+                os.close(write)
+                raise WorkerError(f"cannot fork a verify worker: {exc.strerror or exc}") from exc
+            if pid == 0:
+                _work(ids, n_max, read, write)
+            os.close(write)
+            pipes[pid] = open(read, "rb")
+        verdicts = run_claims(groups[0], n_max)
+        for pid in list(pipes):
+            data = pipes[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            pipes.pop(pid).close()
+            verdicts += _result(data, status)
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rank = {c.id: i for i, c in enumerate(claims)}
+    return sorted(verdicts, key=lambda v: rank[v.claim])
 
 
 def summarize(verdicts) -> dict:

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import pytest
 
 from implattice import formulas, verify
@@ -11,6 +15,7 @@ from implattice.algebra import (
     lattice_to_json,
     top_only,
 )
+from implattice.cli import main
 from implattice.poset import CLOSURES, interval, interval_to_dot, interval_to_json
 from implattice.verify import CLAIMS, SUITES, run_claims, run_suite, summarize
 
@@ -19,6 +24,7 @@ def test_registry_ids_unique_and_suites_known():
     ids = [c.id for c in CLAIMS]
     assert len(ids) == len(set(ids))
     assert {c.suite for c in CLAIMS} == set(SUITES)
+    assert list(verify._COST_MS) == ids and verify._TOP_SLICE_CLAIMS <= set(ids)
 
 
 def test_run_suite_all_passes():
@@ -191,3 +197,151 @@ def test_brute_element_ops_check_sees_a_dropped_join(monkeypatch):
     assert not verify._brute_element_ops_closed(A)
     monkeypatch.setattr(verify, "complement", lambda x: x)
     assert not verify._brute_element_ops_closed(A)
+
+
+# --- the forked runner ----------------------------------------------------------
+
+
+def verify_cli(capsys, *argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two usable CPUs, whatever the machine has, and the pids of the
+    workers forked (a worker's own list is never read)."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def serial_cli(capsys, monkeypatch, *argv):
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_usable_cpus", lambda: 1)
+        m.setattr(os, "fork", None)  # called only by a forked run
+        return verify_cli(capsys, *argv)
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("suite", ("all",) + SUITES)
+def test_forked_stdout_is_the_serial_stdout(capsys, monkeypatch, forks, suite, fmt):
+    argv = ("--suite", suite, "--n-max", "5", "--format", fmt)
+    forked = verify_cli(capsys, *argv)
+    assert len(forks) == len(verify._split(verify._suite(suite), 5, 2)) - 1
+    assert serial_cli(capsys, monkeypatch, *argv) == forked
+    assert forked[0] == 0 and forked[2] == ""
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize(
+    "name, wrong, failing",
+    [
+        # the printed sign exponent fails at n >= 1 (test_failing_sweep_counts_every_case)
+        ("mobius_product_formula", formulas.mobius_product_formula_printed, "method1.formula_vs_oracle"),
+        # the equal-rank sweep compares mu at the top with (-1)^k k!
+        ("mu_top_closed_form", lambda n: formulas.factorial(n), "iso.equal_rank_subalgebras"),
+    ],
+)
+def test_a_failing_forked_run_prints_the_serial_verdicts(capsys, monkeypatch, forks, name, wrong, failing):
+    monkeypatch.setattr(formulas, name, wrong)
+    argv = ("--suite", "all", "--n-max", "5")
+    code, out, _ = verify_cli(capsys, *argv)
+    assert forks and code == 1
+    assert serial_cli(capsys, monkeypatch, *argv) == (code, out, "")
+    assert f"FAIL {failing} n=5 " in out
+    assert_no_worker_left()
+
+
+def fail_in(where, failure):
+    """Every claim check, failing by ``failure()`` in the forked worker or in
+    the process that forked it, and running as usual in the other."""
+    parent = os.getpid()
+
+    def wrap(check):
+        def failing(n):
+            if (os.getpid() == parent) == (where == "parent"):
+                failure()
+            return check(n)
+
+        return failing
+
+    return tuple(c._replace(check=wrap(c.check)) for c in CLAIMS)
+
+
+def out_of_memory():
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "where, failure, message",
+    [
+        ("worker", out_of_memory, "error: n is too large: out of memory"),
+        ("worker", lambda: os._exit(3), "error: a verify worker ended without a result (exit status 3)"),
+        ("parent", out_of_memory, "error: n is too large: out of memory"),
+    ],
+)
+def test_a_failing_run_exits_2_and_leaves_no_worker(capsys, monkeypatch, forks, where, failure, message):
+    monkeypatch.setattr(verify, "CLAIMS", fail_in(where, failure))
+    code, out, err = verify_cli(capsys, "--suite", "all", "--n-max", "4")
+    assert forks and code == 2
+    assert (out, err) == ("", message + "\n")
+    assert_no_worker_left()
+
+
+def test_a_failed_fork_exits_2(capsys, monkeypatch, forks):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else None
+    code, out, err = verify_cli(capsys, "--suite", "all", "--n-max", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot fork a verify worker: Resource temporarily unavailable\n"
+    assert fds is None or os.listdir("/proc/self/fd") == fds  # the pipe is closed again
+
+
+def refuse_to_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])
+def test_a_trace_or_profile_hook_keeps_verify_in_one_process(capsys, monkeypatch, forks, hook):
+    # a tracer, a profiler or coverage sees only this process's calls
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    hook(lambda *args: None)
+    try:
+        code, out, _ = verify_cli(capsys, "--suite", "all", "--n-max", "4")
+    finally:
+        hook(None)
+    assert code == 0 and out.endswith("summary: 111 claims, 111 passed, 0 failed\n")
+
+
+def test_another_thread_keeps_verify_in_one_process(capsys, monkeypatch, forks):
+    # a fork copies only the calling thread: a lock the other one holds
+    # would stay held in the worker
+    monkeypatch.setattr(os, "fork", refuse_to_fork)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        code, out, _ = verify_cli(capsys, "--suite", "all", "--n-max", "4")
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert code == 0 and out.endswith("summary: 111 claims, 111 passed, 0 failed\n")
